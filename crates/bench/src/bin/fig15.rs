@@ -4,7 +4,7 @@
 //!
 //! (a) **CPU** — nanoseconds per forwarding decision, measured by driving
 //!     each balancer with a realistic packet stream against a loaded
-//!     15-port view (the criterion bench `lb_decision` cross-checks this);
+//!     15-port view;
 //! (b) **memory** — peak bytes of balancer state during the basic mixed
 //!     workload (flow/flowlet tables, counters).
 

@@ -1,9 +1,10 @@
 //! # tlb-bench — the paper-reproduction harness
 //!
-//! One binary per figure of the paper's evaluation (`fig03` … `fig17`), a
-//! `repro_all` driver, and criterion micro-benchmarks (the Fig. 15 CPU
-//! analogue). Each binary prints the rows/series its figure plots and
-//! writes the same text to `results/<id>.txt`.
+//! One binary per figure of the paper's evaluation (`fig03` … `fig17`,
+//! plus `ablation` and `extensions`) and a `repro_all` driver. Each binary
+//! prints the rows/series its figure plots and writes the same text to
+//! `results/<id>.txt`. Simulator performance is measured by the repository
+//! benchmark in `perfbench/`, not here.
 //!
 //! Scale control: set `TLB_SCALE=full` for paper-scale parameters (slower);
 //! the default `quick` preserves every experiment's *shape* at a fraction
@@ -11,20 +12,8 @@
 
 pub mod harness;
 pub mod out;
-pub mod perf;
-pub mod perf4;
-pub mod perf5;
-pub mod perf6;
-pub mod perf8;
-pub mod perf9;
 pub mod scale;
 
 pub use harness::*;
 pub use out::Out;
-pub use perf::{PerfEntry, PerfReport};
-pub use perf4::{MacroEntry, MicroEntry, Pr4Report};
-pub use perf5::{Pr5Report, SweepEntry};
-pub use perf6::{Pr6Report, SteadyAllocEntry};
-pub use perf8::{EnduranceEntry, FidelityEntry, Pr8Report};
-pub use perf9::{EngineEntry, Pr9Report};
 pub use scale::Scale;

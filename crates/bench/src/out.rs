@@ -62,7 +62,7 @@ impl Out {
 }
 
 /// `results/` at the workspace root (or cwd as a fallback).
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     // CARGO_MANIFEST_DIR = <root>/crates/bench at compile time.
     let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     p.pop();

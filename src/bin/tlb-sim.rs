@@ -47,37 +47,107 @@ OPTIONS:
     --help                this text
 ";
 
-struct Args(Vec<String>);
+/// Options that take a value. `--degrade`, `--fail` and `--repair` may
+/// repeat; for the rest the first occurrence wins.
+const VALUED: &str = "--scheme --workload --load --shorts --longs --leaves --spines \
+    --hosts-per-leaf --fat-tree --gbps --duration-ms --seed --engine --workers --degrade \
+    --fail --repair";
 
-impl Args {
-    fn value_of(&self, key: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.0.get(i + 1))
-            .map(|s| s.as_str())
-    }
+/// Why a command line was rejected. `main` reports it as one line on
+/// stderr and exits with code 2, before any simulation runs.
+#[derive(Debug)]
+enum CliError {
+    /// An argument that is not a known option.
+    UnknownOption(String),
+    /// A valued option given as the last argument.
+    MissingValue(&'static str),
+    /// `(option, value, what was expected)`: a value that does not parse
+    /// or is out of range.
+    BadValue(&'static str, String, &'static str),
+    /// A configuration `SimConfig::validate` rejects.
+    Config(String),
+}
 
-    fn values_of<'a>(&'a self, key: &'a str) -> impl Iterator<Item = &'a str> + 'a {
-        self.0
-            .windows(2)
-            .filter(move |w| w[0] == key)
-            .map(|w| w[1].as_str())
-    }
-
-    fn flag(&self, key: &str) -> bool {
-        self.0.iter().any(|a| a == key)
-    }
-
-    fn parse<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.value_of(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::UnknownOption(arg) => write!(f, "unknown option '{arg}' (see --help)"),
+            CliError::MissingValue(key) => write!(f, "option {key} needs a value"),
+            CliError::BadValue(key, v, expected) => {
+                write!(f, "bad {key} '{v}': expected {expected}")
+            }
+            CliError::Config(msg) => write!(f, "invalid configuration: {msg}"),
+        }
     }
 }
 
-fn scheme_from(name: &str) -> Scheme {
-    match name {
+/// The parsed command line: `(option, value)` pairs in order, and `--json`.
+struct Args {
+    values: Vec<(&'static str, String)>,
+    json: bool,
+}
+
+impl Args {
+    fn parse(mut raw: impl Iterator<Item = String>) -> Result<Args, CliError> {
+        let (mut values, mut json) = (Vec::new(), false);
+        while let Some(arg) = raw.next() {
+            if arg == "--json" {
+                json = true;
+            } else if let Some(key) = VALUED.split_whitespace().find(|k| *k == arg) {
+                values.push((key, raw.next().ok_or(CliError::MissingValue(key))?));
+            } else {
+                return Err(CliError::UnknownOption(arg));
+            }
+        }
+        Ok(Args { values, json })
+    }
+
+    fn values_of<'a>(&'a self, key: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+        self.values
+            .iter()
+            .filter(move |(k, _)| *k == key)
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn value_of<'a>(&'a self, key: &'a str) -> Option<&'a str> {
+        self.values_of(key).next()
+    }
+
+    /// `key`'s value parsed as `T` and accepted by `valid`, or `default`
+    /// when the option is absent.
+    fn get<T: std::str::FromStr>(
+        &self,
+        key: &'static str,
+        default: T,
+        expected: &'static str,
+        valid: impl Fn(&T) -> bool,
+    ) -> Result<T, CliError> {
+        self.value_of(key)
+            .map_or(Ok(default), |v| parse(key, v, v, expected, valid))
+    }
+}
+
+/// Parse `field`, all or part of option `key`'s value `value`.
+fn parse<T: std::str::FromStr>(
+    key: &'static str,
+    value: &str,
+    field: &str,
+    expected: &'static str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, CliError> {
+    field
+        .parse()
+        .ok()
+        .filter(valid)
+        .ok_or_else(|| bad(key, value, expected))
+}
+
+fn bad(key: &'static str, value: &str, expected: &'static str) -> CliError {
+    CliError::BadValue(key, value.to_string(), expected)
+}
+
+fn scheme_from(name: &str) -> Result<Scheme, CliError> {
+    Ok(match name {
         "ecmp" => Scheme::Ecmp,
         "rps" => Scheme::Rps,
         "presto" => Scheme::presto_default(),
@@ -91,31 +161,27 @@ fn scheme_from(name: &str) -> Scheme {
         },
         "diffflow" => Scheme::diffflow_default(),
         "tlb" => Scheme::tlb_default(),
-        other => {
-            eprintln!("unknown scheme: {other}\n{HELP}");
-            std::process::exit(2);
-        }
-    }
+        other => return Err(bad("--scheme", other, "a scheme named in --help")),
+    })
 }
 
-fn main() {
-    let args = Args(std::env::args().skip(1).collect());
-    if args.flag("--help") || args.flag("-h") {
-        print!("{HELP}");
-        return;
-    }
-
-    let scheme = scheme_from(args.value_of("--scheme").unwrap_or("tlb"));
-    let scheme_name = scheme.name();
-    let leaves: usize = args.parse("--leaves", 8);
-    let spines: usize = args.parse("--spines", 8);
-    let hosts_per_leaf: usize = args.parse("--hosts-per-leaf", 16);
-    let gbps: f64 = args.parse("--gbps", 1.0);
-    let seed: u64 = args.parse("--seed", 1);
+/// Build the simulation the command line describes.
+fn setup(args: &Args) -> Result<(SimConfig, Vec<FlowSpec>), CliError> {
+    let scheme = scheme_from(args.value_of("--scheme").unwrap_or("tlb"))?;
+    let (count, positive) = ("a positive integer", |n: &usize| *n > 0);
+    let leaves = args.get("--leaves", 8, count, positive)?;
+    let spines = args.get("--spines", 8, count, positive)?;
+    let hosts_per_leaf = args.get("--hosts-per-leaf", 16, count, positive)?;
+    let gbps: f64 = args.get("--gbps", 1.0, "a positive number", |g: &f64| {
+        g.is_finite() && *g > 0.0
+    })?;
+    let seed: u64 = args.get("--seed", 1, "an unsigned integer", |_| true)?;
 
     let mut cfg = SimConfig::basic_paper(scheme);
-    cfg.topo = if let Some(k) = args.value_of("--fat-tree") {
-        let k: usize = k.parse().expect("fat-tree arity");
+    cfg.topo = if args.value_of("--fat-tree").is_some() {
+        let k = args.get("--fat-tree", 0, "an even arity >= 2", |k: &usize| {
+            *k >= 2 && k.is_multiple_of(2)
+        })?;
         FatTreeBuilder::new(k)
             .link_gbps(gbps)
             .target_rtt(SimTime::from_micros(100))
@@ -131,34 +197,29 @@ fn main() {
     cfg.seed = seed;
 
     if let Some(engine) = args.value_of("--engine") {
-        let workers = args.value_of("--workers").map(|w| {
-            w.parse::<u32>().unwrap_or_else(|_| {
-                eprintln!("bad --workers '{w}', expected a positive integer");
-                std::process::exit(2);
-            })
-        });
+        let workers = match args.value_of("--workers") {
+            None => None,
+            Some(_) => Some(args.get("--workers", 1u32, count, |w| *w > 0)?),
+        };
         cfg.engine = match engine {
             "serial" => EngineKind::Serial,
             "sharded" => EngineKind::Sharded { workers },
-            other => {
-                eprintln!("unknown engine: {other}\n{HELP}");
-                std::process::exit(2);
-            }
+            other => return Err(bad("--engine", other, "serial or sharded")),
         };
     }
 
+    let (n_sw, n_up) = (cfg.topo.n_lb_switches(), cfg.topo.n_spines());
     for spec in args.values_of("--degrade") {
-        let parts: Vec<&str> = spec.split(':').collect();
-        if parts.len() != 4 {
-            eprintln!("bad --degrade '{spec}', expected l:s:bw:us");
-            std::process::exit(2);
-        }
-        let l: u32 = parts[0].parse().expect("leaf index");
-        let s: u32 = parts[1].parse().expect("spine index");
-        let bw: f64 = parts[2].parse().expect("bandwidth factor");
-        let us: u64 = parts[3].parse().expect("extra delay (us)");
-        cfg.topo
-            .degrade_link(LeafId(l), SpineId(s), bw, SimTime::from_micros(us));
+        let (key, expected) = ("--degrade", "l:s:bw:us on an existing uplink, bw in (0, 1]");
+        let [l, s, bw, us] = spec.split(':').collect::<Vec<_>>()[..] else {
+            return Err(bad(key, spec, expected));
+        };
+        cfg.topo.degrade_link(
+            LeafId(parse(key, spec, l, expected, |l| (*l as usize) < n_sw)?),
+            SpineId(parse(key, spec, s, expected, |s| (*s as usize) < n_up)?),
+            parse(key, spec, bw, expected, |bw| *bw > 0.0 && *bw <= 1.0)?,
+            SimTime::from_micros(parse(key, spec, us, expected, |_| true)?),
+        );
     }
 
     for (key, action) in [
@@ -166,33 +227,29 @@ fn main() {
         ("--repair", FailureAction::Up),
     ] {
         for spec in args.values_of(key) {
-            let parts: Vec<&str> = spec.split(':').collect();
-            if parts.len() != 3 {
-                eprintln!("bad {key} '{spec}', expected sw:up:at_us");
-                std::process::exit(2);
-            }
-            let sw: u32 = parts[0].parse().expect("LB switch index");
-            let up: u32 = parts[1].parse().expect("uplink index");
-            let at: u64 = parts[2].parse().expect("event time (us)");
+            let expected = "sw:up:at_us";
+            let [sw, up, at] = spec.split(':').collect::<Vec<_>>()[..] else {
+                return Err(bad(key, spec, expected));
+            };
             cfg.failure_events.push(FailureEvent {
-                at: SimTime::from_micros(at),
+                at: SimTime::from_micros(parse(key, spec, at, expected, |_| true)?),
                 target: FailureTarget::Link {
-                    sw: LeafId(sw),
-                    up: SpineId(up),
+                    sw: LeafId(parse(key, spec, sw, expected, |_| true)?),
+                    up: SpineId(parse(key, spec, up, expected, |_| true)?),
                 },
                 action,
             });
         }
     }
     cfg.failure_events.sort_by_key(|e| e.at);
+    cfg.validate().map_err(CliError::Config)?;
 
-    let workload = args.value_of("--workload").unwrap_or("websearch");
     let mut rng = SimRng::new(seed ^ 0xABCD);
-    let flows = match workload {
+    let flows = match args.value_of("--workload").unwrap_or("websearch") {
         "mix" => {
             let mut mix = BasicMixConfig::paper_default();
-            mix.n_short = args.parse("--shorts", 100);
-            mix.n_long = args.parse("--longs", 3);
+            mix.n_short = args.get("--shorts", 100, "an unsigned integer", |_| true)?;
+            mix.n_long = args.get("--longs", 3, "an unsigned integer", |_| true)?;
             basic_mix(&cfg.topo, &mix, &mut rng)
         }
         w @ ("websearch" | "datamining") => {
@@ -201,10 +258,14 @@ fn main() {
             } else {
                 data_mining()
             };
+            let load = args.get("--load", 0.6, "a number in (0, 1.5]", |l| {
+                *l > 0.0 && *l <= 1.5
+            })?;
+            let ms = args.get("--duration-ms", 50, "an unsigned integer", |_| true)?;
             let wl = PoissonWorkload {
-                load: args.parse("--load", 0.6),
+                load,
                 dist: &dist,
-                duration: SimTime::from_millis(args.parse("--duration-ms", 50u64)),
+                duration: SimTime::from_millis(ms),
                 deadline_lo: SimTime::from_millis(5),
                 deadline_hi: SimTime::from_millis(25),
                 short_threshold: 100_000,
@@ -212,17 +273,28 @@ fn main() {
             };
             wl.generate(&cfg.topo, &mut rng)
         }
-        other => {
-            eprintln!("unknown workload: {other}\n{HELP}");
-            std::process::exit(2);
-        }
+        other => return Err(bad("--workload", other, "websearch, datamining or mix")),
     };
+    Ok((cfg, flows))
+}
 
-    let n = flows.len();
-    eprintln!("running {n} flows under {scheme_name} (seed {seed})...");
+fn main() {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    if raw.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{HELP}");
+        return;
+    }
+    let parsed = Args::parse(raw.into_iter()).and_then(|args| Ok((setup(&args)?, args.json)));
+    let ((cfg, flows), json) = parsed.unwrap_or_else(|e| {
+        eprintln!("tlb-sim: {e}");
+        std::process::exit(2)
+    });
+
+    let (n, scheme, seed) = (flows.len(), cfg.scheme.name(), cfg.seed);
+    eprintln!("running {n} flows under {scheme} (seed {seed})...");
     let r = Simulation::new(cfg, flows).run();
 
-    if args.flag("--json") {
+    if json {
         println!(
             "{}",
             serde_json::to_string_pretty(&r.to_summary()).expect("serializable summary")

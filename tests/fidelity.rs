@@ -281,3 +281,99 @@ fn hybrid_runs_are_bit_deterministic() {
     assert_eq!(a.fluid_bytes, b.fluid_bytes);
     assert_eq!(a.audit, b.audit, "hybrid audit counters diverged");
 }
+
+/// Seed of the k=16 and endurance jobs below.
+const PAPER_SEED: u64 = 20190805;
+
+/// TLB on the basic paper fabric, unaudited, with a horizon long enough
+/// for hundreds of chained rounds.
+fn long_run_cfg(fidelity: FidelityKind) -> SimConfig {
+    let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());
+    cfg.fidelity = fidelity;
+    cfg.audit = false;
+    cfg.horizon = SimTime::from_secs(100_000);
+    cfg
+}
+
+/// `rounds` chained rounds of the sustained paper mix (100 shorts + 3
+/// 10–20 MB longs per round).
+fn sustained_run(fidelity: FidelityKind, rounds: usize, seed: u64) -> RunReport {
+    let cfg = long_run_cfg(fidelity);
+    let mix = BasicMixConfig::paper_default();
+    let (flows, next) = sustained_mix(&cfg.topo, &mix, rounds, &mut SimRng::new(seed));
+    Simulation::new_chained(cfg, flows, next).run()
+}
+
+/// One burst of the paper mix on the 1024-host k=16 fat tree.
+fn k16_mix_run(fidelity: FidelityKind, n_short: usize, n_long: usize) -> RunReport {
+    let mut cfg = long_run_cfg(fidelity);
+    cfg.topo = FatTreeBuilder::new(16)
+        .link_gbps(1.0)
+        .target_rtt(SimTime::from_micros(100))
+        .build()
+        .into();
+    let mut mix = BasicMixConfig::paper_default();
+    mix.n_short = n_short;
+    mix.n_long = n_long;
+    let flows = basic_mix(&cfg.topo, &mix, &mut SimRng::new(PAPER_SEED));
+    Simulation::new(cfg, flows).run()
+}
+
+/// Peak resident set of this process in KiB (`VmHWM`), where
+/// `/proc/self/status` reports it.
+fn vm_hwm_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().trim_end_matches("kB").trim().parse().ok()
+}
+
+/// `(every flow completed, fluid migrations, long-flow segment work)`
+/// summed over `runs`.
+fn tally(runs: &[RunReport]) -> (bool, u64, u64) {
+    let all_done = runs.iter().all(|r| r.completed == r.total_flows);
+    let migrations = runs.iter().map(|r| r.fluid_migrations).sum();
+    let work = runs.iter().map(|r| r.long.data_sent + r.long.retransmits);
+    (all_done, migrations, work.sum())
+}
+
+/// The fluid tier's reason to exist: under hybrid fidelity only the
+/// ~100 KB packet prefix of a long flow is segmented, so the long-flow
+/// population's segment work (`data_sent + retransmits`) falls at least
+/// tenfold — on the sustained mix (3 rounds, seeds 1–3, summed) and on
+/// the k=16 fat tree (60 shorts, 3 longs). Both fidelities complete every
+/// flow, and packet fidelity never touches the fluid tier.
+#[test]
+fn hybrid_cuts_long_flow_segment_work_tenfold() {
+    let sustained = |f| tally(&[1, 2, 3].map(|seed| sustained_run(f, 3, seed)));
+    let k16 = |f| tally(&[k16_mix_run(f, 60, 3)]);
+    let (packet, hybrid) = (FidelityKind::Packet, FidelityKind::Hybrid);
+    let cases = [
+        ("sustained", sustained(packet), sustained(hybrid)),
+        ("k16", k16(packet), k16(hybrid)),
+    ];
+    for (name, (p_done, p_migrated, p), (h_done, h_migrated, h)) in cases {
+        assert!(p_done && h_done, "{name}: stranded flows");
+        assert_eq!(p_migrated, 0, "{name}: packet fidelity used the fluid tier");
+        assert!(h_migrated > 0, "{name}: hybrid run never migrated a flow");
+        assert!(
+            p >= 10 * h.max(1),
+            "{name}: long-flow work fell below 10x (packet {p} vs hybrid {h})"
+        );
+    }
+}
+
+/// Endurance: 600 chained rounds of the sustained mix (≈62k flows) at
+/// hybrid fidelity complete every flow with the fluid tier engaged, a
+/// recorded FEL occupancy bound, and a peak resident set far below
+/// anything a per-flow leak would produce.
+#[test]
+fn chained_hybrid_endurance_run_completes_with_bounded_memory() {
+    let r = sustained_run(FidelityKind::Hybrid, 600, PAPER_SEED);
+    assert_eq!(r.completed, r.total_flows, "endurance run stranded flows");
+    assert!(r.fluid_migrations > 0, "endurance run never went fluid");
+    assert!(r.fel_bound_peak > 0, "endurance run recorded no FEL bound");
+    if cfg!(target_os = "linux") {
+        let hwm = vm_hwm_kib().expect("VmHWM unavailable on Linux");
+        assert!(hwm < 8 << 20, "endurance VmHWM {hwm} KiB exceeds 8 GiB");
+    }
+}
