@@ -11,8 +11,8 @@
 //! Two deliberate properties:
 //!
 //! * **Opt-in per binary.** The workspace's production binaries keep the
-//!   plain system allocator; only `tests/alloc_hygiene.rs` and `bench_pr6`
-//!   install the counter. Code that snapshots counters therefore must
+//!   plain system allocator; only `tests/alloc_hygiene.rs` and the `perfbench`
+//!   harness install the counter. Code that snapshots counters therefore must
 //!   tolerate a non-counting process — [`probe_counting`] detects whether
 //!   a counter is live so gates can fail loudly instead of passing
 //!   vacuously when the allocator is absent.

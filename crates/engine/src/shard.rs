@@ -19,10 +19,11 @@ pub enum EngineKind {
     Serial,
     /// Per-shard event loops over OS threads, synchronized conservatively
     /// with link propagation delay as lookahead. `workers` pins the OS
-    /// thread count; `None` uses the available parallelism. The *digests*
-    /// are worker-count independent by construction (shard count and shard
-    /// execution depend only on the topology), so `workers` is purely a
-    /// performance knob.
+    /// thread count (and with it the shard count); `None` uses the
+    /// available parallelism. The *digests* are worker-count independent
+    /// by construction — they equal the serial engine's for any valid
+    /// partition of the fabric — so `workers` is purely a performance
+    /// knob.
     Sharded {
         /// OS worker threads (`None`: available parallelism).
         workers: Option<u32>,
@@ -60,9 +61,15 @@ impl EngineKind {
 /// per-window synchronization cost must stay well under a microsecond —
 /// a mutex/condvar barrier's wake-up latency would dominate the window
 /// body. Parties spin with [`std::hint::spin_loop`], degrading to
-/// [`std::thread::yield_now`] once a wait runs long (oversubscribed host).
+/// [`std::thread::yield_now`] once a wait runs long — or at once when
+/// there are more parties than cores, where spinning only holds a core
+/// the awaited party needs.
 pub struct SpinBarrier {
     n: usize,
+    /// Spins before a waiter starts yielding: none when the parties
+    /// outnumber the cores (a spinning waiter would only delay the party
+    /// it waits for).
+    spin_limit: u32,
     arrived: std::sync::atomic::AtomicUsize,
     generation: std::sync::atomic::AtomicUsize,
 }
@@ -71,8 +78,10 @@ impl SpinBarrier {
     /// A barrier for `n` parties.
     pub fn new(n: usize) -> SpinBarrier {
         assert!(n > 0, "barrier needs at least one party");
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
         SpinBarrier {
             n,
+            spin_limit: if n > cores { 0 } else { 1 << 14 },
             arrived: std::sync::atomic::AtomicUsize::new(0),
             generation: std::sync::atomic::AtomicUsize::new(0),
         }
@@ -93,7 +102,7 @@ impl SpinBarrier {
         let mut spins = 0u32;
         while self.generation.load(Ordering::Acquire) == gen {
             spins += 1;
-            if spins < 1 << 14 {
+            if spins < self.spin_limit {
                 std::hint::spin_loop();
             } else {
                 std::thread::yield_now();

@@ -127,6 +127,88 @@ pub fn run_scenario_checked_hybrid(raw: RawScenario) -> Result<(), String> {
     }
 }
 
+/// The sharded differential: run one scenario on the serial engine, then
+/// on the sharded engine at 2 and 3 workers (3 cuts uneven unit groups),
+/// and require every sharded run to shard (no fallback) and to reproduce
+/// the serial run exactly — [`run_digest`], the audit ledger and every
+/// traced hop. This is the broad probe of the sharded engine's window and
+/// serialized-tail predicate, failure schedules and incast included.
+pub fn run_scenario_checked_sharded(raw: RawScenario) -> Result<(), String> {
+    use tlb_engine::EngineKind;
+    let built = Scenario::from_raw(raw).build();
+    let mut cfg = built.cfg.clone();
+    cfg.engine = EngineKind::Serial;
+    let serial = tlb_simnet::run_one_ref(&cfg, &built.flows);
+    check_report(&built, &serial)?;
+    let hops =
+        |r: &tlb_simnet::RunReport| -> Vec<_> { r.traces.iter().map(|t| (t.hop, t.at)).collect() };
+    let mut violations: Vec<String> = Vec::new();
+    for workers in [2, 3] {
+        cfg.engine = EngineKind::Sharded {
+            workers: Some(workers),
+        };
+        let sharded = tlb_simnet::run_one_ref(&cfg, &built.flows);
+        if let Some(reason) = sharded.engine_fallback {
+            violations.push(format!(
+                "{workers} workers: fell back to serial ({})",
+                reason.name()
+            ));
+            continue;
+        }
+        let (d_serial, d_sharded) = (run_digest(&serial), run_digest(&sharded));
+        if d_serial != d_sharded {
+            violations.push(format!(
+                "{workers} workers: digest diverged\n      serial  {d_serial}\n      sharded {d_sharded}"
+            ));
+        }
+        if sharded.audit != serial.audit {
+            violations.push(format!("{workers} workers: audit ledger diverged"));
+        }
+        if hops(&sharded) != hops(&serial) {
+            violations.push(format!("{workers} workers: traced hops diverged"));
+        }
+    }
+    if violations.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "sharded differential on scenario {:?} violated {} oracle(s):\n  - {}",
+            built.scenario,
+            violations.len(),
+            violations.join("\n  - ")
+        ))
+    }
+}
+
+/// Everything an engine swap must leave bit-identical: event count, both
+/// FCT summaries (exact bits), drop/mark/decision totals, completions and
+/// the end clock.
+fn run_digest(r: &tlb_simnet::RunReport) -> String {
+    let fct = |s: &tlb_metrics::FctSummary| {
+        format!(
+            "{}/{}/{:x}/{:x}/{:x}/{:x}",
+            s.completed,
+            s.unfinished,
+            s.afct.to_bits(),
+            s.p99.to_bits(),
+            s.p50.to_bits(),
+            s.mean_goodput.to_bits()
+        )
+    };
+    format!(
+        "ev={} short={} long={} drops={} marks={} dec={} done={}/{} end={:?}",
+        r.events,
+        fct(&r.fct_short),
+        fct(&r.fct_long),
+        r.drops,
+        r.marks,
+        r.lb_decisions,
+        r.completed,
+        r.total_flows,
+        r.sim_end,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -128,19 +128,19 @@ pub struct SimConfig {
     pub fault_drop_nth: Option<u64>,
     /// Future-event-list backend for the run. Presets take the process
     /// default (`TLB_FEL` env var / `heap-fel` feature, else the calendar
-    /// queue); the differential tests and `bench_pr4` pin it explicitly.
+    /// queue); the differential tests pin it explicitly.
     /// Both backends are bit-identical in results — this only selects the
     /// data structure.
     pub fel: FelKind,
     /// Load-balancer dispatch path. Presets take the process default
     /// (`TLB_LB_DISPATCH` env var / `dyn-lb` feature, else static enum
-    /// dispatch); differential tests and `bench_pr5` pin it explicitly.
+    /// dispatch); differential tests pin it explicitly.
     /// Both paths are bit-identical in results — this only selects the
     /// call mechanism.
     pub lb_dispatch: LbDispatch,
     /// Packet-delivery scheduling. Presets take the process default
     /// (`TLB_DELIVERY` env var, else per-link pipelines); differential
-    /// tests and `bench_pr5` pin it explicitly. Both modes are
+    /// tests pin it explicitly. Both modes are
     /// bit-identical in results — this only selects how arrivals sit in
     /// the future-event list.
     pub delivery: DeliveryKind,

@@ -639,18 +639,24 @@ pub(crate) fn run_with(
     next_flow: Vec<Option<u32>>,
 ) -> RunReport {
     let wall_start = std::time::Instant::now();
-    if let tlb_engine::EngineKind::Sharded { workers } = cfg.engine {
-        if let Some(report) = sharded::try_run(cfg, flows, &next_flow, workers, wall_start) {
-            return report;
+    // Preconditions unmet (hybrid fidelity, chained flows, injected
+    // drops, a single-unit topology, or zero lookahead): the serial
+    // engine is the sharded engine's own fallback, digest-identical by
+    // definition.
+    let fallback = match cfg.engine {
+        tlb_engine::EngineKind::Sharded { workers } => {
+            match sharded::try_run(cfg, flows, &next_flow, workers, wall_start) {
+                Ok(report) => return report,
+                Err(reason) => Some(reason),
+            }
         }
-        // Preconditions unmet (hybrid fidelity, chained flows, injected
-        // drops, a single-shard topology, or zero lookahead): the serial
-        // engine is the sharded engine's own fallback, digest-identical
-        // by definition.
-    }
+        tlb_engine::EngineKind::Serial => None,
+    };
     let mut net = Net::build(cfg, flows, next_flow, None);
     net.run_loop();
-    net.into_report(wall_start.elapsed())
+    let mut report = net.into_report(wall_start.elapsed());
+    report.engine_fallback = fallback;
+    report
 }
 
 impl<'a> Net<'a> {
@@ -1750,6 +1756,13 @@ impl<'a> Net<'a> {
                 let ack = receiver.on_data(&pkt, now);
                 let after = receiver.delivered_segs();
                 let was_ooo = receiver.stats().out_of_order > ooo_before;
+                if let Some(ctx) = self.shard.as_mut() {
+                    // A fresh segment bumps exactly one of `in_order`
+                    // (which advances `rcv_nxt`) or `out_of_order`.
+                    if after > before || was_ooo {
+                        ctx.segment_taken(h);
+                    }
+                }
 
                 // Reordering time series per class.
                 if is_short {
@@ -2303,6 +2316,8 @@ impl<'a> Net<'a> {
             wall,
             engine_workers: None,
             sharded_windows: 0,
+            sharded_tail_events: 0,
+            engine_fallback: None,
         }
     }
 

@@ -1,21 +1,22 @@
 //! Deterministic multi-core execution of a single simulation via
 //! conservative fabric sharding.
 //!
-//! One simulation is split into **shards** — per-pod for fat trees,
-//! per-leaf for leaf-spine fabrics, hosts colocated with their edge/leaf
-//! switch — each owning a full replica of the [`super::Net`] state but
-//! touching only its own entities: its switches' ports, its hosts'
-//! senders/receivers, its slice of the FEL. Shards advance in
-//! barrier-synchronized **windows** bounded by the conservative lookahead
-//! `Δ` = the minimum propagation delay over any cross-shard link (folded
-//! over the whole [`crate::config::LinkEvent`] schedule): an event a shard
-//! executes at time `t` can only influence another shard at `t + Δ` or
-//! later, so every shard may freely run `[T, T + Δ)` where `T` is the
-//! global minimum pending timestamp. Cross-shard packets travel as
-//! [`XMsg`] handoffs through per-shard inboxes; each inbox also carries
-//! its earliest pending timestamp, which the coordinator folds into `T`
-//! (the null-message horizon update of classic conservative PDES, carried
-//! on the data path).
+//! One simulation is split into **shards**, one per worker thread: the
+//! fabric's natural units (leaves of a leaf-spine fabric, pods of a fat
+//! tree) are cut into contiguous groups, spines/cores ride with a unit,
+//! and hosts stay with their leaf/edge switch. Each shard owns a full
+//! replica of the [`super::Net`] state but touches only its own entities:
+//! its switches' ports, its hosts' senders/receivers, its slice of the
+//! FEL. Shards advance in barrier-synchronized **windows** bounded by the
+//! conservative lookahead `Δ` = the minimum propagation delay over any
+//! cross-shard link (folded over the whole [`crate::config::LinkEvent`]
+//! schedule): an event a shard executes at time `t` can only influence
+//! another shard at `t + Δ` or later, so every shard may freely run
+//! `[T, T + Δ)` where `T` is the global minimum pending timestamp.
+//! Cross-shard packets travel as [`XMsg`] handoffs through per-shard
+//! inboxes; each inbox also carries its earliest pending timestamp, which
+//! the coordinator folds into `T` (the null-message horizon update of
+//! classic conservative PDES, carried on the data path).
 //!
 //! ## Why the merged schedule is bit-identical to the serial engine
 //!
@@ -29,9 +30,11 @@
 //! * cross-shard order at a timestamp is settled by `key` alone, which
 //!   the serial engine respects by construction.
 //!
-//! Worker-count independence follows because nothing above depends on
-//! *which OS thread* runs a shard — the shard partition is a function of
-//! the topology, each shard's event stream is deterministic, and message
+//! Nothing above depends on *which* partition is used, only on every
+//! entity having one owner, so digests equal serial for any valid
+//! partition — and therefore at every worker count, although the shard
+//! count follows the worker count. Nor does it depend on which OS thread
+//! runs a shard: each shard's event stream is deterministic and message
 //! order per key is the sender's FIFO order regardless of scheduling.
 //!
 //! ## Global events and the serialized tail
@@ -47,29 +50,43 @@
 //! The serial engine stops at the instant the last flow completes,
 //! possibly mid-window. To reproduce that exactly, a parallel window with
 //! end `E` is only opened when the run provably cannot finish inside it:
-//! either some flow starts at or after `E` (its `FlowStart` is not
-//! processed in the window — events run strictly before `E` — so it
-//! cannot complete there), or `remaining flows > bound`, where `bound` is
-//! a static upper bound on completions per window (each host can complete
-//! at most `window/tx(min_wire) + 2` flows). Once neither holds — every
-//! flow has started and `remaining ≤ bound` — the coordinator finishes
-//! the run in a **serialized tail**: a global `(time, key)` merge across
-//! the shard FELs with the serial loop's exact termination conditions.
-//! For open-loop traces the `last_start` guard keeps windows parallel for
-//! the whole arrival span and confines the tail to the post-trace drain;
-//! small bursts take the tail from the first event — same digests, all
-//! machinery exercised, no parallelism.
+//!
+//! * some flow starts at or after `E` — its `FlowStart` is not processed
+//!   in the window (events run strictly before `E`), so it cannot
+//!   complete there; or
+//! * some host is **far**: it still has more distinct data segments to
+//!   take in than one window can deliver. Each replica keeps, for the
+//!   hosts it owns, `excess[h]` = (segments of incomplete flows to `h`
+//!   not yet taken in) − `cap_h`, where `cap_h = Δ/tx_h(min_wire) + 2`.
+//!   A flow completes only when its receiver has taken in every segment
+//!   (Hybrid fluid completions are rejected up front); one data delivery
+//!   adds at most one distinct segment; and deliveries to `h` are
+//!   serialized by its downlink, whose props no
+//!   [`crate::config::LinkEvent`] ever rewrites (they target fabric
+//!   uplinks) — so a window delivers at most `cap_h` new segments to `h`.
+//!   A host with `excess[h] > 0` therefore still has an incomplete flow
+//!   when the window ends. The count of far hosts is kept in O(1) per
+//!   delivery and published beside the completion count.
+//!
+//! Once neither holds — every flow has started and no host is far — the
+//! coordinator finishes the run in a **serialized tail**: a global
+//! `(time, key)` merge across the shard FELs with the serial loop's exact
+//! termination conditions. The tail is the last few segments per host
+//! (hundreds of events on the paper's web-search run), so parallel
+//! windows cover almost the whole run.
 //!
 //! ## What the sharded engine refuses (and falls back to serial on)
 //!
 //! Hybrid fidelity (fluid flows span shards), closed-loop chains (a
 //! completion on one shard would have to start a flow on another),
-//! `fault_drop_nth` (a global arrival counter), single-shard topologies,
-//! zero lookahead, and ≥ 2²⁷ flows (key-space). [`try_run`] returns
-//! `None` and [`super::run_with`] runs the serial engine — which is the
-//! digest reference anyway.
+//! `fault_drop_nth` (a global arrival counter), single-unit topologies,
+//! zero lookahead, and ≥ 2²⁷ flows (key-space). [`try_run`] returns the
+//! [`ShardFallback`] reason and [`super::run_with`] runs the serial
+//! engine — which is the digest reference anyway — and records the reason
+//! in [`crate::report::RunReport::engine_fallback`].
 
 use super::{Net, NodeRef, PlanKind, PortId, PortMap, SimConfig};
+use crate::report::ShardFallback;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use tlb_engine::{SimTime, SpinBarrier};
@@ -79,7 +96,6 @@ use tlb_workload::FlowSpec;
 /// Which shard owns each entity, plus the derived per-port tables. Built
 /// once per run and shared by every replica.
 pub(crate) struct ShardMap {
-    pub n_shards: u16,
     /// Per switch id (LB switches first, like [`PortMap::sw`]).
     pub sw_owner: Vec<u16>,
     /// Per host id (hosts live with their leaf/edge switch).
@@ -92,30 +108,41 @@ pub(crate) struct ShardMap {
 }
 
 impl ShardMap {
-    /// Partition the fabric: leaf-spine → one shard per leaf (spine `s`
-    /// rides with leaf `s % n_leaves`), fat tree → one shard per pod
-    /// (core `c` rides with pod `c % n_pods`). Hosts follow their
-    /// leaf/edge, so host links are never cross-shard.
-    fn new(pmap: &PortMap) -> ShardMap {
-        let (n_shards, sw_owner): (u16, Vec<u16>) = match pmap.plan {
-            PlanKind::LeafSpine {
-                n_leaves, n_spines, ..
-            } => {
-                let mut own: Vec<u16> = (0..n_leaves as u16).collect();
-                own.extend((0..n_spines as u16).map(|s| s % n_leaves as u16));
-                (n_leaves as u16, own)
-            }
+    /// The fabric's natural partition units: leaves of a leaf-spine
+    /// fabric, pods of a fat tree.
+    fn units(pmap: &PortMap) -> u16 {
+        match pmap.plan {
+            PlanKind::LeafSpine { n_leaves, .. } => n_leaves as u16,
+            PlanKind::FatTree { half, n_edges, .. } => (n_edges / half) as u16,
+        }
+    }
+
+    /// Partition the fabric into `n_shards` (2 ≤ `n_shards` ≤ units)
+    /// contiguous groups of units: unit `u` → shard `u·n_shards/units`.
+    /// Spine `s` rides with leaf `s % n_leaves`, core `c` with pod
+    /// `c % n_pods`; hosts follow their leaf/edge, so host links are
+    /// never cross-shard.
+    fn new(pmap: &PortMap, n_shards: u16) -> ShardMap {
+        let units = Self::units(pmap);
+        debug_assert!((2..=units).contains(&n_shards));
+        let group = |u: u16| (u32::from(u) * u32::from(n_shards) / u32::from(units)) as u16;
+        let sw_owner: Vec<u16> = match pmap.plan {
+            PlanKind::LeafSpine { n_spines, .. } => (0..units)
+                .chain((0..n_spines as u16).map(|s| s % units))
+                .map(group)
+                .collect(),
             PlanKind::FatTree {
                 half,
                 n_edges,
                 n_aggs,
             } => {
-                let n_pods = (n_edges / half) as u16;
-                let mut own: Vec<u16> = (0..n_edges as u16).map(|e| e / half as u16).collect();
-                own.extend((0..n_aggs as u16).map(|a| a / half as u16));
-                let n_cores = half * half;
-                own.extend((0..n_cores as u16).map(|c| c % n_pods));
-                (n_pods, own)
+                let half = half as u16;
+                (0..n_edges as u16)
+                    .map(|e| e / half)
+                    .chain((0..n_aggs as u16).map(|a| a / half))
+                    .chain((0..half * half).map(|c| c % units))
+                    .map(group)
+                    .collect()
             }
         };
         debug_assert_eq!(sw_owner.len(), pmap.sw.len());
@@ -139,7 +166,6 @@ impl ShardMap {
             .map(|p| owner_of(pmap.next_node(p)))
             .collect();
         ShardMap {
-            n_shards,
             sw_owner,
             host_owner,
             port_owner,
@@ -155,6 +181,12 @@ pub(crate) struct ShardCtx {
     /// Cross-shard handoffs produced by this shard's events, drained and
     /// routed after every window (or every merged step).
     pub outbox: Vec<XMsg>,
+    /// Per host (owned ones only; others stay non-positive): distinct
+    /// data segments still to be taken in, minus the most one window can
+    /// deliver (see the module docs). Positive = the host is far.
+    excess: Vec<i64>,
+    /// Owned hosts with a positive `excess`.
+    far_hosts: usize,
 }
 
 impl ShardCtx {
@@ -163,6 +195,16 @@ impl ShardCtx {
     }
     pub fn owns_sw(&self, sw: usize) -> bool {
         self.map.sw_owner[sw] == self.id
+    }
+
+    /// Host `h`'s receiver took in one more distinct data segment.
+    #[inline]
+    pub fn segment_taken(&mut self, h: u32) {
+        let e = &mut self.excess[h as usize];
+        *e -= 1;
+        if *e == 0 {
+            self.far_hosts -= 1;
+        }
     }
 }
 
@@ -193,55 +235,76 @@ struct Ctl {
     window_end: AtomicU64,
 }
 
-/// Run `cfg` sharded, or return `None` when a precondition fails and the
-/// caller should use the serial engine.
+/// Run `cfg` sharded, or return why a precondition fails and the caller
+/// should use the serial engine.
 pub(crate) fn try_run(
     cfg: &SimConfig,
     flows: &[FlowSpec],
     next_flow: &[Option<u32>],
     workers: Option<u32>,
     wall_start: std::time::Instant,
-) -> Option<crate::report::RunReport> {
-    if cfg.fidelity == super::FidelityKind::Hybrid
-        || cfg.fault_drop_nth.is_some()
-        || next_flow.iter().any(|n| n.is_some())
-        || flows.len() >= (1 << super::KEY_ENTITY_BITS)
-    {
-        return None;
+) -> Result<crate::report::RunReport, ShardFallback> {
+    for (refused, reason) in [
+        (
+            cfg.fidelity == super::FidelityKind::Hybrid,
+            ShardFallback::Hybrid,
+        ),
+        (
+            next_flow.iter().any(Option::is_some),
+            ShardFallback::Chained,
+        ),
+        (cfg.fault_drop_nth.is_some(), ShardFallback::FaultDropNth),
+        (
+            flows.len() >= 1 << super::KEY_ENTITY_BITS,
+            ShardFallback::KeySpace,
+        ),
+    ] {
+        if refused {
+            return Err(reason);
+        }
     }
     let pmap = PortMap::new(&cfg.topo);
-    let map = ShardMap::new(&pmap);
-    if map.n_shards < 2 {
-        return None;
+    let units = ShardMap::units(&pmap);
+    if units < 2 {
+        return Err(ShardFallback::OneShard);
     }
+    let workers = workers.map(|w| w as usize).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
+    let n_shards = workers.clamp(2, units as usize);
+    let n_workers = workers.clamp(1, n_shards);
+    let map = ShardMap::new(&pmap, n_shards as u16);
     let lookahead = lookahead(cfg, &pmap, &map);
     if lookahead.is_zero() {
-        return None;
+        return Err(ShardFallback::ZeroLookahead);
     }
     let map = Arc::new(map);
-    let bound = completion_bound(cfg, lookahead);
-    let n_shards = map.n_shards as usize;
-    let n_workers = workers
-        .map(|w| w as usize)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, n_shards);
+    let caps = segment_caps(cfg, lookahead);
 
     // Build every replica (in parallel — builds are independent).
     let mut slots: Vec<Option<Net>> = (0..n_shards).map(|_| None).collect();
     std::thread::scope(|sc| {
         for (sid, slot) in slots.iter_mut().enumerate() {
-            let map = map.clone();
+            let (map, caps) = (map.clone(), &caps);
             sc.spawn(move || {
                 let ctx = ShardCtx {
                     id: sid as u16,
                     map,
                     outbox: Vec::new(),
+                    excess: caps.iter().map(|&c| -c).collect(),
+                    far_hosts: 0,
                 };
-                *slot = Some(Net::build(cfg, flows, next_flow.to_vec(), Some(ctx)));
+                let mut net = Net::build(cfg, flows, next_flow.to_vec(), Some(ctx));
+                let ctx = net.shard.as_mut().expect("just built sharded");
+                for (f, &segs) in flows.iter().zip(&net.total_segs) {
+                    if ctx.owns_host(f.dst.0) {
+                        ctx.excess[f.dst.index()] += i64::from(segs);
+                    }
+                }
+                ctx.far_hosts = ctx.excess.iter().filter(|&&e| e > 0).count();
+                *slot = Some(net);
             });
         }
     });
@@ -261,7 +324,7 @@ pub(crate) fn try_run(
             })
             .collect(),
         next_time: (0..n_shards).map(|_| AtomicU64::new(0)).collect(),
-        done_flows: (0..n_shards).map(|_| AtomicUsize::new(0)).collect(),
+        far_hosts: (0..n_shards).map(|_| AtomicUsize::new(0)).collect(),
         ctl: Ctl {
             state: AtomicU8::new(STATE_RUN),
             window_end: AtomicU64::new(0),
@@ -272,9 +335,9 @@ pub(crate) fn try_run(
         total_flows: flows.len(),
         last_start: flows.iter().map(|f| f.start.as_nanos()).max().unwrap_or(0),
         lookahead,
-        bound,
         n_workers,
         windows: AtomicU64::new(0),
+        tail_events: AtomicU64::new(0),
     };
 
     // Seed the published per-shard minimums so the coordinator's first
@@ -291,8 +354,8 @@ pub(crate) fn try_run(
         }
         run.worker_loop(0);
     });
-    let run_windows = run.windows.load(Ordering::Relaxed);
-    drop(run);
+    let windows = run.windows.into_inner();
+    let tail_events = run.tail_events.into_inner();
 
     // Fold every replica into shard 0 and report from the merged state.
     let mut nets: Vec<Net> = nets.into_iter().map(|m| m.into_inner().unwrap()).collect();
@@ -304,8 +367,9 @@ pub(crate) fn try_run(
     base.shard = None;
     let mut report = base.into_report(wall_start.elapsed());
     report.engine_workers = Some(n_workers as u32);
-    report.sharded_windows = run_windows;
-    Some(report)
+    report.sharded_windows = windows;
+    report.sharded_tail_events = tail_events;
+    Ok(report)
 }
 
 /// The conservative lookahead: minimum propagation delay over every
@@ -352,24 +416,20 @@ fn lookahead(cfg: &SimConfig, pmap: &PortMap, map: &ShardMap) -> SimTime {
     min
 }
 
-/// Upper bound on flow completions within one parallel window. A flow
-/// completes only when a host-side delivery pops (Hybrid fluid
-/// completions are rejected up front), each delivery completes at most
-/// one flow, and deliveries to host `h` are serialized by its downlink —
-/// whose props no [`crate::config::LinkEvent`] ever rewrites (they target
-/// fabric uplinks). A window of length `Δ` therefore delivers at most
-/// `Δ / tx_h(min_wire) + 2` packets per host.
-fn completion_bound(cfg: &SimConfig, lookahead: SimTime) -> usize {
+/// Per host: the most data segments one parallel window can deliver,
+/// `Δ / tx_h(min_wire) + 2` — deliveries to a host are serialized by its
+/// downlink (see the module docs).
+fn segment_caps(cfg: &SimConfig, lookahead: SimTime) -> Vec<i64> {
     let min_wire = cfg.tcp.header_bytes.max(1) as u64;
-    let mut bound = 0usize;
-    for h in 0..cfg.topo.n_hosts() {
-        let link = cfg.topo.host_link_of(tlb_net::HostId(h as u32));
-        let tx = tlb_engine::time::tx_time(min_wire, link.bytes_per_sec)
-            .as_nanos()
-            .max(1);
-        bound += (lookahead.as_nanos() / tx + 2) as usize;
-    }
-    bound
+    (0..cfg.topo.n_hosts())
+        .map(|h| {
+            let link = cfg.topo.host_link_of(tlb_net::HostId(h as u32));
+            let tx = tlb_engine::time::tx_time(min_wire, link.bytes_per_sec)
+                .as_nanos()
+                .max(1);
+            (lookahead.as_nanos() / tx + 2) as i64
+        })
+        .collect()
 }
 
 /// The merged, sorted schedule of admin (failure/link-change) event
@@ -391,25 +451,28 @@ struct Run<'n, 'a> {
     nets: &'n [Mutex<Net<'a>>],
     inboxes: Vec<Mutex<Inbox>>,
     next_time: Vec<AtomicU64>,
-    done_flows: Vec<AtomicUsize>,
+    /// Per shard: its far-host count (see the module docs).
+    far_hosts: Vec<AtomicUsize>,
     ctl: Ctl,
     barrier: SpinBarrier,
     sched: Vec<u64>,
     horizon: SimTime,
     total_flows: usize,
     /// Latest flow start time (ns). A window whose end is at or before
-    /// this cannot contain the final completion, whatever `bound` says.
+    /// this cannot contain the final completion.
     last_start: u64,
     lookahead: SimTime,
-    bound: usize,
     n_workers: usize,
     /// Parallel windows opened (surfaces in
     /// [`crate::report::RunReport::sharded_windows`]).
     windows: AtomicU64,
+    /// Events run by the coordinator's merged loop (surfaces in
+    /// [`crate::report::RunReport::sharded_tail_events`]).
+    tail_events: AtomicU64,
 }
 
 impl<'n, 'a> Run<'n, 'a> {
-    /// Publish shard `s`'s next within-horizon timestamp and completion
+    /// Publish shard `s`'s next within-horizon timestamp and far-host
     /// count (read by the coordinator after the barrier).
     fn publish(&self, s: usize, net: &Net) {
         let t = match net.q.peek_time() {
@@ -417,7 +480,8 @@ impl<'n, 'a> Run<'n, 'a> {
             _ => u64::MAX,
         };
         self.next_time[s].store(t, Ordering::Release);
-        self.done_flows[s].store(net.n_completed, Ordering::Release);
+        let far = net.shard.as_ref().map_or(0, |c| c.far_hosts);
+        self.far_hosts[s].store(far, Ordering::Release);
     }
 
     /// The window protocol, from every worker's point of view. Worker 0
@@ -497,21 +561,15 @@ impl<'n, 'a> Run<'n, 'a> {
     }
 
     /// The coordinator's between-windows step: find the global minimum,
-    /// then either declare the run done, execute a micro-step (admin
-    /// event), finish serially (completion tail), or open the next
-    /// parallel window. Runs with every other worker parked at the
-    /// barrier, so locking all shards is deadlock-free.
+    /// then either declare the run done (nothing left before the
+    /// horizon), execute a micro-step (admin event), finish serially
+    /// (completion tail), or open the next parallel window. Every window
+    /// and micro-step leaves a flow incomplete (see the module docs), so
+    /// completion is only ever reached inside the tail. Runs with every
+    /// other worker parked at the barrier, so locking all shards is
+    /// deadlock-free.
     fn decide(&self, sched_at: &mut usize) {
         loop {
-            let done: usize = self
-                .done_flows
-                .iter()
-                .map(|d| d.load(Ordering::Acquire))
-                .sum();
-            if done >= self.total_flows {
-                self.finish();
-                return;
-            }
             let mut t_min = u64::MAX;
             for s in 0..self.nets.len() {
                 t_min = t_min.min(self.next_time[s].load(Ordering::Acquire));
@@ -528,16 +586,21 @@ impl<'n, 'a> Run<'n, 'a> {
             // The run can only end inside the candidate window if every
             // flow starts strictly before its end (events run strictly
             // before `end`, so a later FlowStart cannot even be popped)
-            // AND the remaining completions fit under the per-window
-            // bound. Only then fall back to the serialized tail.
-            if self.last_start < end && self.total_flows - done <= self.bound {
-                self.run_tail();
+            // AND no host is far. Only then fall back to the serialized
+            // tail.
+            let far: usize = self
+                .far_hosts
+                .iter()
+                .map(|f| f.load(Ordering::Acquire))
+                .sum();
+            if self.last_start < end && far == 0 {
+                self.merged_loop(None);
                 self.finish();
                 return;
             }
             if next_sched <= t_min {
                 debug_assert_eq!(next_sched, t_min, "admin event skipped a window");
-                self.micro_step(SimTime::from_nanos(next_sched));
+                self.merged_loop(Some(SimTime::from_nanos(next_sched)));
                 while self.sched.get(*sched_at).copied() == Some(next_sched) {
                     *sched_at += 1;
                 }
@@ -572,39 +635,24 @@ impl<'n, 'a> Run<'n, 'a> {
         }
     }
 
-    /// Execute every event at exactly time `at` through the global
-    /// `(time, key)` merge, mirroring admin mutations into every replica.
-    fn micro_step(&self, at: SimTime) {
-        self.flush_inboxes();
-        self.merged_loop(Some(at));
-        for (s, net) in self.nets.iter().enumerate() {
-            self.publish(s, &net.lock().unwrap());
-        }
-    }
-
-    /// Finish the run serially: the global merge with the serial loop's
-    /// exact termination conditions (stop the instant the last flow
-    /// completes; never pop past the horizon).
-    fn run_tail(&self) {
-        self.flush_inboxes();
-        self.merged_loop(None);
-        for (s, net) in self.nets.iter().enumerate() {
-            self.publish(s, &net.lock().unwrap());
-        }
-    }
-
-    /// The cross-shard merge: repeatedly pop the `(time, key)`-minimum
-    /// event over all shard FELs and dispatch it on its shard, routing
-    /// handoffs immediately. `Some(at)` = micro-step (only events at
-    /// exactly `at`); `None` = completion tail (serial termination).
+    /// The cross-shard merge: ingest every parked handoff, then
+    /// repeatedly pop the `(time, key)`-minimum event over all shard FELs
+    /// and dispatch it on its shard, routing handoffs immediately; finally
+    /// publish every shard's new state. `Some(at)` = micro-step (only
+    /// events at exactly `at`, mirroring admin mutations into every
+    /// replica); `None` = completion tail (the serial loop's termination:
+    /// stop the instant the last flow completes, never pop past the
+    /// horizon).
     ///
     /// Single-origin-per-key makes the tie order exact: a `(time, key)`
     /// collision across two shards is impossible, and within a shard the
     /// FEL's own `(time, key, seq)` order applies.
     fn merged_loop(&self, only_at: Option<SimTime>) {
+        self.flush_inboxes();
         let mut guards: Vec<_> = self.nets.iter().map(|m| m.lock().unwrap()).collect();
         let mut done: usize = guards.iter().map(|g| g.n_completed).sum();
         let mut outbox = Vec::new();
+        let mut events = 0u64;
         loop {
             if only_at.is_none() && done >= self.total_flows {
                 break;
@@ -633,6 +681,7 @@ impl<'n, 'a> Run<'n, 'a> {
             let entity = (key & ((1 << super::KEY_ENTITY_BITS) - 1)) as usize;
             let before = guards[s].n_completed;
             guards[s].step();
+            events += 1;
             done += guards[s].n_completed - before;
             if class == 6 || class == 7 {
                 for (r, g) in guards.iter_mut().enumerate() {
@@ -662,6 +711,10 @@ impl<'n, 'a> Run<'n, 'a> {
                 }
             }
         }
+        self.tail_events.fetch_add(events, Ordering::Relaxed);
+        for (s, g) in guards.iter().enumerate() {
+            self.publish(s, g);
+        }
     }
 }
 
@@ -671,53 +724,71 @@ mod tests {
     use crate::config::SimConfig;
     use crate::Scheme;
 
-    #[test]
-    fn leaf_spine_partition_colocates_hosts_and_spreads_spines() {
-        let cfg = SimConfig::basic_paper(Scheme::Ecmp);
+    /// Every shard owns a switch and a host, unit owners are contiguous
+    /// and cover `0..n_shards` in order, every host lives with its
+    /// leaf/edge (its NIC link never crosses shards), and the lookahead
+    /// equals the one-shard-per-unit partition's.
+    fn check_grouped(cfg: &SimConfig, unit_of_lb: impl Fn(usize) -> usize, n_shards: u16) {
         let pmap = PortMap::new(&cfg.topo);
-        let map = ShardMap::new(&pmap);
-        let n_leaves = cfg.topo.n_leaves() as u16;
-        assert_eq!(map.n_shards, n_leaves);
-        for h in 0..cfg.topo.n_hosts() as u32 {
-            let leaf = cfg.topo.leaf_of(tlb_net::HostId(h)).index() as u16;
-            assert_eq!(map.host_owner[h as usize], leaf);
-            // Host links never cross shards.
+        let units = ShardMap::units(&pmap);
+        let map = ShardMap::new(&pmap, n_shards);
+        for s in 0..n_shards {
+            assert!(map.sw_owner.contains(&s), "shard {s} owns no switch");
+            assert!(map.host_owner.contains(&s), "shard {s} owns no host");
+        }
+        let mut unit_owner = vec![None; units as usize];
+        for l in 0..pmap.n_lb as usize {
+            let u = unit_of_lb(l);
+            assert!(
+                unit_owner[u].is_none_or(|o| o == map.sw_owner[l]),
+                "unit {u} split across shards"
+            );
+            unit_owner[u] = Some(map.sw_owner[l]);
+        }
+        let unit_owner: Vec<u16> = unit_owner.into_iter().map(Option::unwrap).collect();
+        assert_eq!(unit_owner[0], 0);
+        for w in unit_owner.windows(2) {
+            assert!(w[1] == w[0] || w[1] == w[0] + 1, "non-contiguous groups");
+        }
+        assert_eq!(*unit_owner.last().unwrap(), n_shards - 1);
+        let hpl = pmap.hosts_per_lb();
+        for h in 0..pmap.n_hosts {
+            assert_eq!(map.host_owner[h as usize], map.sw_owner[(h / hpl) as usize]);
             let nic = pmap.host_nic(h);
             assert_eq!(map.port_owner[nic as usize], map.arrive_owner[nic as usize]);
         }
-        // Spines are distributed round-robin.
-        for s in 0..cfg.topo.n_spines() as u16 {
-            assert_eq!(map.sw_owner[(n_leaves + s) as usize], s % n_leaves);
-        }
+        let per_unit = ShardMap::new(&pmap, units);
+        assert_eq!(
+            lookahead(cfg, &pmap, &map),
+            lookahead(cfg, &pmap, &per_unit)
+        );
     }
 
     #[test]
-    fn fat_tree_partition_is_per_pod() {
+    fn leaf_spine_8x8_groups_leaves_contiguously() {
         let mut cfg = SimConfig::basic_paper(Scheme::Ecmp);
-        cfg.topo = tlb_net::FatTreeBuilder::new(4).build().into();
-        let pmap = PortMap::new(&cfg.topo);
-        let map = ShardMap::new(&pmap);
-        let ft = cfg.topo.as_fat_tree().unwrap();
-        assert_eq!(map.n_shards as usize, ft.n_pods());
-        // Every edge and agg lives with its pod; hosts with their edge.
-        for e in 0..ft.n_edges() {
-            assert_eq!(map.sw_owner[e], (e / ft.half()) as u16);
+        cfg.topo = tlb_net::LeafSpineBuilder::new(8, 8, 4).build().into();
+        for n_shards in [2, 3, 8] {
+            check_grouped(&cfg, |leaf| leaf, n_shards);
         }
-        for h in 0..cfg.topo.n_hosts() as u32 {
-            let edge = ft.edge_of(tlb_net::HostId(h));
-            assert_eq!(map.host_owner[h as usize], map.sw_owner[edge]);
-        }
-    }
-
-    #[test]
-    fn lookahead_is_min_cross_shard_prop() {
-        let cfg = SimConfig::basic_paper(Scheme::Ecmp);
-        let pmap = PortMap::new(&cfg.topo);
-        let map = ShardMap::new(&pmap);
-        let la = lookahead(&cfg, &pmap, &map);
         // Every cross-shard link is a leaf↔spine pair; the minimum is the
         // fabric's uplink propagation delay.
+        let pmap = PortMap::new(&cfg.topo);
+        let la = lookahead(&cfg, &pmap, &ShardMap::new(&pmap, 2));
         assert_eq!(la, cfg.topo.uplink_props(0, 1).prop_delay);
-        assert!(!la.is_zero());
+    }
+
+    #[test]
+    fn fat_tree_k8_groups_pods_contiguously() {
+        let mut cfg = SimConfig::basic_paper(Scheme::Ecmp);
+        cfg.topo = tlb_net::FatTreeBuilder::new(8).build().into();
+        let ft = cfg.topo.as_fat_tree().unwrap().clone();
+        // LB switches are edges, then aggs; both sit in pod `index / half`.
+        let half = ft.half();
+        let n_edges = ft.n_edges();
+        let unit = move |l: usize| if l < n_edges { l } else { l - n_edges } / half;
+        for n_shards in [2, 4] {
+            check_grouped(&cfg, unit, n_shards);
+        }
     }
 }

@@ -177,6 +177,14 @@ pub struct Summary {
     pub sim_end_s: f64,
     /// Wall-clock runtime (milliseconds).
     pub wall_ms: u128,
+    /// Worker threads of the sharded engine (`None`: the serial engine ran).
+    pub engine_workers: Option<u32>,
+    /// Parallel windows the sharded engine opened.
+    pub sharded_windows: u64,
+    /// Events the sharded engine ran in its serialized merge.
+    pub sharded_tail_events: u64,
+    /// Why a sharded request ran serially ([`ShardFallback::name`]).
+    pub engine_fallback: Option<String>,
 }
 
 /// Everything measured in one run. Time series carry
@@ -209,8 +217,8 @@ pub struct RunReport {
     /// Pending-event count of the engine's future-event list, sampled once
     /// every 4096 processed events. The sampling schedule is a pure
     /// function of the event count, so the samples are bit-identical
-    /// across FEL backends and thread counts; `bench_pr4` reads its
-    /// queue-depth histogram (p50/p99) from here.
+    /// across FEL backends and thread counts; `perfbench` reads its
+    /// queue-depth quantiles (p50/p99) from here.
     pub fel_depth: SampleSet,
     /// Peak of the pipelined-delivery FEL occupancy bound
     /// `2·ports + pending starts/timers/housekeeping` over the same sample
@@ -284,11 +292,50 @@ pub struct RunReport {
     /// precondition forced the serial fallback. Results are bit-identical
     /// either way — this records which machinery produced them.
     pub engine_workers: Option<u32>,
-    /// Parallel windows the sharded engine opened (0 for serial runs and
-    /// for sharded runs small enough to execute entirely in the
-    /// serialized tail). Tests use this to prove a job actually
-    /// exercised barrier-synchronized parallel execution.
+    /// Parallel windows the sharded engine opened (0 for serial runs).
+    /// Tests use this to prove a job actually exercised
+    /// barrier-synchronized parallel execution.
     pub sharded_windows: u64,
+    /// Events the sharded engine ran serially through its coordinator's
+    /// cross-shard merge: admin-event micro-steps plus the completion
+    /// tail (0 for serial runs). Small against `events` when the windows
+    /// carry the run.
+    pub sharded_tail_events: u64,
+    /// Why a run that asked for [`tlb_engine::EngineKind::Sharded`] ran
+    /// on the serial engine instead; `None` when no fallback happened.
+    pub engine_fallback: Option<ShardFallback>,
+}
+
+/// The precondition that sent a sharded run to the serial engine.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ShardFallback {
+    /// Hybrid fidelity: fluid flows span shards.
+    Hybrid,
+    /// Closed-loop chains: a completion on one shard would start a flow
+    /// on another.
+    Chained,
+    /// `SimConfig::fault_drop_nth` counts arrivals globally.
+    FaultDropNth,
+    /// Too many flows for the event-key entity space.
+    KeySpace,
+    /// The fabric has fewer than two partition units (leaves or pods).
+    OneShard,
+    /// A zero-delay cross-shard link leaves no lookahead.
+    ZeroLookahead,
+}
+
+impl ShardFallback {
+    /// Stable snake-case name, as the CLI's `--json` prints it.
+    pub fn name(self) -> &'static str {
+        match self {
+            ShardFallback::Hybrid => "hybrid",
+            ShardFallback::Chained => "chained",
+            ShardFallback::FaultDropNth => "fault_drop_nth",
+            ShardFallback::KeySpace => "key_space",
+            ShardFallback::OneShard => "one_shard",
+            ShardFallback::ZeroLookahead => "zero_lookahead",
+        }
+    }
 }
 
 impl RunReport {
@@ -348,6 +395,10 @@ impl RunReport {
             events: self.events,
             sim_end_s: self.sim_end.as_secs_f64(),
             wall_ms: self.wall.as_millis(),
+            engine_workers: self.engine_workers,
+            sharded_windows: self.sharded_windows,
+            sharded_tail_events: self.sharded_tail_events,
+            engine_fallback: self.engine_fallback.map(|f| f.name().to_string()),
         }
     }
 }

@@ -1,6 +1,7 @@
 //! The `tlb-sim` command line: malformed values, unknown options and
 //! invalid fabrics are rejected with exit code 2 and a one-line message
-//! before any simulation runs; a valid command line runs to completion.
+//! before any simulation runs; a valid command line runs to completion,
+//! and its `--json` summary names the engine that ran and any fallback.
 
 use std::process::{Command, Output};
 
@@ -39,4 +40,29 @@ fn valid_command_line_runs_to_completion() {
     );
     assert_eq!(out.status.code(), Some(0), "stderr {stderr:?}");
     assert!(stdout.contains("done 5/5"), "stdout {stdout:?}");
+}
+
+#[test]
+fn json_reports_which_engine_ran_and_why() {
+    let run = |fidelity: &str| -> tlb::simnet::Summary {
+        let out = Command::new(env!("CARGO_BIN_EXE_tlb-sim"))
+            .args(
+                "--workload mix --shorts 4 --longs 1 --engine sharded --workers 2 --json"
+                    .split(' '),
+            )
+            .env("TLB_FIDELITY", fidelity)
+            .output()
+            .expect("failed to launch tlb-sim");
+        assert_eq!(out.status.code(), Some(0));
+        serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).expect("--json parses")
+    };
+    let sharded = run("packet");
+    assert_eq!(sharded.engine_workers, Some(2));
+    assert!(sharded.sharded_windows > 0);
+    assert!(sharded.sharded_tail_events < sharded.events);
+    assert_eq!(sharded.engine_fallback, None);
+    let hybrid = run("hybrid");
+    assert_eq!(hybrid.engine_workers, None);
+    assert_eq!(hybrid.engine_fallback.as_deref(), Some("hybrid"));
+    assert_eq!((hybrid.sharded_windows, hybrid.sharded_tail_events), (0, 0));
 }

@@ -3,7 +3,7 @@
 //! and every scheme in the registry.
 
 use tlb::prelude::*;
-use tlb::simnet::LinkEvent;
+use tlb::simnet::{LinkEvent, ShardFallback};
 
 fn full_feature_run(scheme: Scheme, seed: u64) -> RunReport {
     let mut cfg = SimConfig::basic_paper(scheme);
@@ -617,7 +617,9 @@ fn sharded_engine_is_bit_identical_across_worker_counts() {
     // threads by conservative fabric sharding must produce the exact
     // serial digests for ANY worker count. Same 16-job fuzz batch as the
     // backend/dispatch/delivery differentials (schemes, incast, static +
-    // mid-run degradation), serial vs sharded at 1/2/4/8 workers.
+    // mid-run degradation), serial vs sharded at 1/2/3/4/8 workers — 3
+    // cuts uneven leaf groups. Every job at ≥ 2 workers must run real
+    // parallel windows, not just the serialized tail.
     use tlb::engine::EngineKind;
     let raws: [tlb_fuzz::RawScenario; 4] = [
         (
@@ -667,7 +669,7 @@ fn sharded_engine_is_bit_identical_across_worker_counts() {
             .collect()
     };
     let serial = run_all(jobs_with(EngineKind::Serial));
-    for workers in [1u32, 2, 4, 8] {
+    for workers in [1u32, 2, 3, 4, 8] {
         let sharded = run_all(jobs_with(EngineKind::Sharded {
             workers: Some(workers),
         }));
@@ -675,7 +677,13 @@ fn sharded_engine_is_bit_identical_across_worker_counts() {
         for (a, b) in serial.iter().zip(&sharded) {
             assert!(
                 b.engine_workers.is_some(),
-                "{}: sharded engine fell back to serial on a fuzz job",
+                "{}: sharded engine fell back to serial on a fuzz job ({:?})",
+                b.scheme,
+                b.engine_fallback
+            );
+            assert!(
+                workers < 2 || b.sharded_windows > 0,
+                "{} @ {workers} workers: no parallel window opened",
                 b.scheme
             );
             assert_sharded_matches(a, b, &format!("{} @ {workers} workers", a.scheme));
@@ -686,10 +694,10 @@ fn sharded_engine_is_bit_identical_across_worker_counts() {
 #[test]
 fn sharded_engine_matches_serial_on_fat_tree_failure_flap() {
     // Three-tier partition + global-event micro-steps: a k=8 fat tree
-    // (128 hosts, 80 switches, 8 pod shards) with a mid-run edge-uplink
-    // down/up flap. Failures force whole-fabric reachability recomputes,
-    // which the sharded engine must mirror into every replica at exactly
-    // the serial instant.
+    // (128 hosts, 80 switches, 8 pods grouped into one shard per worker)
+    // with a mid-run edge-uplink down/up flap. Failures force
+    // whole-fabric reachability recomputes, which the sharded engine must
+    // mirror into every replica at exactly the serial instant.
     use tlb::engine::EngineKind;
     let run = |engine: EngineKind| {
         let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());
@@ -721,14 +729,14 @@ fn sharded_engine_matches_serial_on_fat_tree_failure_flap() {
     };
     let serial = run(EngineKind::Serial);
     assert_eq!(serial.completed, serial.total_flows);
-    for workers in [2u32, 4, 8] {
+    for workers in [1u32, 2, 3, 4, 8] {
         let sharded = run(EngineKind::Sharded {
             workers: Some(workers),
         });
         assert_eq!(
             sharded.engine_workers,
             Some(workers),
-            "k=8 fat tree must shard into 8 pods"
+            "k=8 fat tree must run one shard per worker"
         );
         assert_sharded_matches(&serial, &sharded, &format!("k8 flap @ {workers} workers"));
     }
@@ -736,12 +744,12 @@ fn sharded_engine_matches_serial_on_fat_tree_failure_flap() {
 
 #[test]
 fn sharded_parallel_windows_match_serial() {
-    // The fuzz batch above is small enough that the sharded engine runs
-    // it entirely in the serialized completion tail. This job is shaped
-    // so `flows >> completion bound` (tiny lookahead, few hosts, many
-    // short flows): the engine MUST open barrier-synchronized parallel
-    // windows — asserted via `sharded_windows` — and still match the
-    // serial digests bit for bit.
+    // A tiny-lookahead fabric (5 µs links at 100 Mbit/s) with few hosts
+    // and many short flows plus two long ones: the windows carry the run
+    // until the last few segments per host, so the engine MUST open
+    // barrier-synchronized parallel windows — asserted via
+    // `sharded_windows` — leave only a small serialized tail, and still
+    // match the serial digests bit for bit.
     use tlb::engine::EngineKind;
     let run = |engine: EngineKind| {
         let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());
@@ -769,6 +777,12 @@ fn sharded_parallel_windows_match_serial() {
         assert!(
             sharded.sharded_windows > 0,
             "job sized for parallel windows ran entirely in the tail"
+        );
+        assert!(
+            sharded.sharded_tail_events * 10 < sharded.events,
+            "serialized tail ran {} of {} events",
+            sharded.sharded_tail_events,
+            sharded.events
         );
         assert_sharded_matches(&serial, &sharded, &format!("windows @ {workers} workers"));
     }
@@ -799,6 +813,8 @@ fn sharded_engine_delegates_hybrid_fidelity_to_serial() {
         sharded.engine_workers, None,
         "hybrid fidelity must fall back to the serial engine"
     );
+    assert_eq!(sharded.engine_fallback, Some(ShardFallback::Hybrid));
+    assert_eq!(serial.engine_fallback, None);
     assert_sharded_matches(&serial, &sharded, "hybrid fallback");
     assert_eq!(serial.fluid_migrations, sharded.fluid_migrations);
     assert_eq!(serial.fluid_bytes, sharded.fluid_bytes);

@@ -52,6 +52,22 @@ fn fuzz_hybrid_differential() {
     );
 }
 
+/// The sharded engine under the same scenario space: every case runs
+/// serial vs sharded at 2 and 3 workers and must shard (no fallback) with
+/// an identical digest, audit ledger and trace. The window/tail predicate
+/// is a soundness claim; this is its broad probe, failure schedules and
+/// incast included. 64 fresh cases by default; CI's fuzz-smoke job runs
+/// it at a pinned seed.
+#[test]
+fn fuzz_sharded_differential() {
+    proptest::run_cases_n(
+        "fuzz_sharded_differential",
+        64,
+        scenario_strategy(),
+        |raw| tlb_fuzz::run_scenario_checked_sharded(raw).map_err(proptest::TestCaseError::fail),
+    );
+}
+
 /// Named pin for the hybrid differential: a pinned-TLB scenario with
 /// long flows straddling the 100 KB boundary *and* an active failure
 /// schedule, so one replay exercises migration, demotion-on-failure, and
