@@ -12,7 +12,7 @@ use tlb_bench::{basic_scenario, Out, Scale};
 use tlb_engine::{SimRng, SimTime};
 use tlb_net::{FlowId, HostId, LinkProps, Packet, PktKind};
 use tlb_simnet::Scheme;
-use tlb_switch::{OutPort, PortView, QueueCfg};
+use tlb_switch::{LoadBalancer, OutPort, PortView, QueueCfg};
 
 /// Build a 15-uplink view with mixed queue lengths.
 fn make_ports() -> Vec<OutPort> {

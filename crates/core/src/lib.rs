@@ -19,9 +19,8 @@ pub mod config;
 
 pub use config::{ThresholdMode, TlbConfig};
 
-/// The shared parser behind every `TLB_*` runtime knob (`TLB_FEL`,
-/// `TLB_LB_DISPATCH`, `TLB_DELIVERY`, `TLB_FIDELITY`, `TLB_THREADS`,
-/// `TLB_ENGINE`, `TLB_ALLOC_AUDIT`): one normalization rule, one
+/// The shared parser behind every `TLB_*` runtime knob (`TLB_FIDELITY`,
+/// `TLB_THREADS`, `TLB_ENGINE`, `TLB_ALLOC_AUDIT`): one normalization rule, one
 /// empty-value rule, one warning format. Implemented in `tlb-engine` (this
 /// crate depends on `tlb-engine`, so the helper cannot live here without a
 /// cycle) and re-exported here as the canonical import path for

@@ -1,7 +1,6 @@
 //! The deduplicated `TLB_*` knob parser, exercised through the `tlb-core`
-//! re-export every knob site goes through (`TLB_FEL`, `TLB_LB_DISPATCH`,
-//! `TLB_DELIVERY`, `TLB_FIDELITY`, `TLB_THREADS`, `TLB_ENGINE`,
-//! `TLB_ALLOC_AUDIT`).
+//! re-export every knob site goes through (`TLB_FIDELITY`, `TLB_THREADS`,
+//! `TLB_ENGINE`, `TLB_ALLOC_AUDIT`).
 
 use tlb_core::env_knob;
 
@@ -66,11 +65,11 @@ fn message_components_are_consistent_across_knobs() {
         Err("want `alpha` or `beta`".to_string())
     );
     assert_eq!(
-        env_knob::expectation(&[("calendar", 0), ("heap", 1)]),
-        "want `calendar` or `heap`"
+        env_knob::expectation(&[("packet", 0), ("hybrid", 1)]),
+        "want `packet` or `hybrid`"
     );
     assert_eq!(
-        env_knob::expectation(&[("pipelined", 0), ("per-packet", 1), ("per_packet", 1)]),
-        "want `pipelined`, `per-packet`, or `per_packet`"
+        env_knob::expectation(&[("serial", 0), ("sharded", 1), ("sharded:<workers>", 1)]),
+        "want `serial`, `sharded`, or `sharded:<workers>`"
     );
 }

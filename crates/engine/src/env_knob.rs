@@ -1,14 +1,14 @@
 //! One parser for every `TLB_*` runtime knob.
 //!
-//! Each subsystem keeps its own enum (`FelKind`, `LbDispatch`,
-//! `DeliveryKind`, `FidelityKind`, `EngineKind`) and default policy; this
+//! Each subsystem keeps its own enum (`FidelityKind`, `EngineKind`) or
+//! value grammar (`TLB_THREADS`, `TLB_ALLOC_AUDIT`) and default policy; this
 //! module only owns the *mechanics* every knob used to hand-roll:
 //! normalization (trim + ASCII-lowercase), the empty-value → default rule,
 //! and the one warning format, so every knob rejects garbage with the same
 //! message shape:
 //!
 //! ```text
-//! warning: ignoring invalid TLB_FEL="fancy" (want `calendar` or `heap`)
+//! warning: ignoring invalid TLB_FIDELITY="fancy" (want `packet` or `hybrid`)
 //! ```
 //!
 //! The helper lives in `tlb-engine` (the workspace's root crate, no

@@ -10,10 +10,7 @@
 //!   floating-point clock, so runs are bit-reproducible across platforms.
 //! * The [`EventQueue`] breaks timestamp ties by insertion order (FIFO), so
 //!   event execution order is a pure function of the schedule, never of
-//!   storage internals. It runs on a swappable FEL backend ([`fel`]): a
-//!   two-tier calendar queue by default, with the original binary heap kept
-//!   behind `TLB_FEL=heap` / the `heap-fel` feature as a differential
-//!   reference — both produce bit-identical schedules.
+//!   storage internals. It runs on a two-tier calendar queue ([`fel`]).
 //! * Randomness comes from [`SimRng`], a self-contained xoshiro256++ generator
 //!   seeded via SplitMix64. No external RNG crate is used at runtime, which
 //!   pins the random stream independent of dependency versions.
@@ -27,7 +24,6 @@ pub mod shard;
 pub mod time;
 
 pub use alloc_audit::{AllocCounters, CountingAlloc};
-pub use fel::FelKind;
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use shard::{EngineKind, SpinBarrier};

@@ -1,74 +1,17 @@
 //! Deterministic future-event list.
 
-use crate::fel::{CalendarFel, Entry, FelBackend, FelKind, HeapFel};
+use crate::fel::{CalendarFel, Entry};
 use crate::time::SimTime;
-
-/// The selected backend, dispatched statically (an enum, not a trait
-/// object: push/pop are the simulator's hottest calls).
-enum Backend<E> {
-    Calendar(CalendarFel<E>),
-    Heap(HeapFel<E>),
-}
-
-impl<E> FelBackend<E> for Backend<E> {
-    #[inline]
-    fn insert(&mut self, entry: Entry<E>, now: SimTime) {
-        match self {
-            Backend::Calendar(b) => b.insert(entry, now),
-            Backend::Heap(b) => b.insert(entry, now),
-        }
-    }
-
-    #[inline]
-    fn remove_min(&mut self) -> Option<Entry<E>> {
-        match self {
-            Backend::Calendar(b) => b.remove_min(),
-            Backend::Heap(b) => b.remove_min(),
-        }
-    }
-
-    #[inline]
-    fn min_time(&self) -> Option<SimTime> {
-        match self {
-            Backend::Calendar(b) => b.min_time(),
-            Backend::Heap(b) => b.min_time(),
-        }
-    }
-
-    #[inline]
-    fn min_time_key(&self) -> Option<(SimTime, u32)> {
-        match self {
-            Backend::Calendar(b) => b.min_time_key(),
-            Backend::Heap(b) => b.min_time_key(),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            Backend::Calendar(b) => b.len(),
-            Backend::Heap(b) => b.len(),
-        }
-    }
-
-    fn drain_into(&mut self, out: &mut Vec<Entry<E>>) {
-        match self {
-            Backend::Calendar(b) => b.drain_into(out),
-            Backend::Heap(b) => b.drain_into(out),
-        }
-    }
-}
 
 /// A future-event list with deterministic tie-breaking.
 ///
 /// Events scheduled for the same timestamp are executed in the order they
 /// were pushed (plain [`EventQueue::push`] uses ordering key 0 for every
 /// entry, so ties are pure FIFO), making simulation traces reproducible
-/// regardless of the storage backend: the pop order is the total order over
-/// `(time, key, insertion seq)`, which both the default calendar queue and
-/// the reference binary heap ([`FelKind`]) realize identically. Callers
-/// that need a cross-queue merge order (the sharded engine) rank ties
-/// explicitly via [`EventQueue::push_keyed`].
+/// regardless of storage internals: the pop order is the total order over
+/// `(time, key, insertion seq)`, realized by a two-tier calendar queue
+/// ([`CalendarFel`]). Callers that need a cross-queue merge order (the
+/// sharded engine) rank ties explicitly via [`EventQueue::push_keyed`].
 ///
 /// ```
 /// use tlb_engine::{EventQueue, SimTime};
@@ -84,7 +27,7 @@ impl<E> FelBackend<E> for Backend<E> {
 /// `now()` to the popped event's timestamp. Scheduling strictly in the past
 /// is a logic error and panics in debug builds.
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    fel: CalendarFel<E>,
     seq: u64,
     now: SimTime,
     monotonicity_violations: u64,
@@ -97,59 +40,32 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue with the clock at zero, on the environment-selected
-    /// backend ([`FelKind::from_env`]).
+    /// An empty queue with the clock at zero.
     pub fn new() -> Self {
-        Self::with_kind(FelKind::from_env())
+        Self::with_capacity(0)
     }
 
-    /// An empty queue with pre-allocated capacity for `cap` events, on the
-    /// environment-selected backend.
+    /// An empty queue with pre-allocated capacity for `cap` events in the
+    /// calendar's overflow tier, where build-time bulk pushes (e.g. every
+    /// flow-start event of a run) land.
     pub fn with_capacity(cap: usize) -> Self {
-        Self::with_capacity_and_kind(cap, FelKind::from_env())
+        Self::on(CalendarFel::with_capacity(cap))
     }
 
-    /// An empty queue on an explicitly chosen backend. Differential tests
-    /// and the bench harness pin kinds this way instead of racing on the
-    /// `TLB_FEL` environment variable.
-    pub fn with_kind(kind: FelKind) -> Self {
-        Self::with_capacity_and_kind(0, kind)
-    }
-
-    /// Explicit backend and capacity. For the calendar backend the
-    /// capacity reserves the overflow tier, where build-time bulk pushes
-    /// (e.g. every flow-start event of a run) land.
-    pub fn with_capacity_and_kind(cap: usize, kind: FelKind) -> Self {
-        let backend = match kind {
-            FelKind::Calendar => Backend::Calendar(CalendarFel::with_capacity(cap)),
-            FelKind::Heap => Backend::Heap(HeapFel::with_capacity(cap)),
-        };
-        EventQueue {
-            backend,
-            seq: 0,
-            now: SimTime::ZERO,
-            monotonicity_violations: 0,
-        }
-    }
-
-    /// A calendar-backed queue with explicit wheel geometry
-    /// (`2^shift`-ns buckets, `nb` of them). Tiny wheels force heavy
-    /// overflow/promotion churn; stress tests use this to exercise paths
-    /// the default ~2 ms window rarely hits.
+    /// A queue with explicit wheel geometry (`2^shift`-ns buckets, `nb` of
+    /// them). Tiny wheels force heavy overflow/promotion churn; stress
+    /// tests use this to exercise paths the default ~2 ms window rarely
+    /// hits.
     pub fn with_calendar_geometry(shift: u32, nb: usize) -> Self {
+        Self::on(CalendarFel::with_geometry(shift, nb))
+    }
+
+    fn on(fel: CalendarFel<E>) -> Self {
         EventQueue {
-            backend: Backend::Calendar(CalendarFel::with_geometry(shift, nb)),
+            fel,
             seq: 0,
             now: SimTime::ZERO,
             monotonicity_violations: 0,
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn kind(&self) -> FelKind {
-        match self.backend {
-            Backend::Calendar(_) => FelKind::Calendar,
-            Backend::Heap(_) => FelKind::Heap,
         }
     }
 
@@ -165,6 +81,17 @@ impl<E> EventQueue<E> {
     /// but must not precede it.
     #[inline]
     pub fn push(&mut self, time: SimTime, event: E) {
+        self.push_keyed(time, 0, event);
+    }
+
+    /// Schedule `event` at `time` with an explicit ordering key: pop order
+    /// is the total order over `(time, key, seq)`. Plain pushes use key 0,
+    /// so a caller mixing both gets keyed entries after the key-0 ties of
+    /// the same instant. The sharded engine keys every event by
+    /// (event class, entity) to make the cross-shard merge order
+    /// independent of per-shard `seq` counters.
+    #[inline]
+    pub fn push_keyed(&mut self, time: SimTime, key: u32, event: E) {
         if time < self.now {
             // Counted before the debug assert so release-mode audits (see
             // `monotonicity_violations`) still observe the violation.
@@ -177,36 +104,7 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.backend.insert(
-            Entry {
-                time,
-                key: 0,
-                seq,
-                event,
-            },
-            self.now,
-        );
-    }
-
-    /// Schedule `event` at `time` with an explicit ordering key: pop order
-    /// is the total order over `(time, key, seq)`. Plain pushes use key 0,
-    /// so a caller mixing both gets keyed entries after the key-0 ties of
-    /// the same instant. The sharded engine keys every event by
-    /// (event class, entity) to make the cross-shard merge order
-    /// independent of per-shard `seq` counters.
-    #[inline]
-    pub fn push_keyed(&mut self, time: SimTime, key: u32, event: E) {
-        if time < self.now {
-            self.monotonicity_violations += 1;
-        }
-        debug_assert!(
-            time >= self.now,
-            "scheduling into the past: {time} < now {now}",
-            now = self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.backend.insert(
+        self.fel.insert(
             Entry {
                 time,
                 key,
@@ -223,81 +121,11 @@ impl<E> EventQueue<E> {
         self.push(self.now + delay, event);
     }
 
-    /// Claim the next insertion sequence number without scheduling
-    /// anything. The caller parks the claimed seq elsewhere (e.g. a
-    /// per-link delivery pipe) and later materializes the event with
-    /// [`EventQueue::push_reserved`]; pop order treats the reservation
-    /// exactly as if the event had been pushed here, so an event stream
-    /// that defers some pushes through reservations is bit-identical to
-    /// one that pushes everything eagerly.
-    #[inline]
-    pub fn reserve_seq(&mut self) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
-        seq
-    }
-
-    /// Schedule `event` at `time` under a sequence number previously
-    /// claimed with [`EventQueue::reserve_seq`]. Subject to the same
-    /// clock-monotonicity contract as [`EventQueue::push`].
-    #[inline]
-    pub fn push_reserved(&mut self, time: SimTime, seq: u64, event: E) {
-        if time < self.now {
-            self.monotonicity_violations += 1;
-        }
-        debug_assert!(
-            time >= self.now,
-            "scheduling into the past: {time} < now {now}",
-            now = self.now
-        );
-        debug_assert!(
-            seq < self.seq,
-            "push_reserved with an unclaimed seq {seq} (next is {next})",
-            next = self.seq
-        );
-        self.backend.insert(
-            Entry {
-                time,
-                key: 0,
-                seq,
-                event,
-            },
-            self.now,
-        );
-    }
-
-    /// The keyed twin of [`EventQueue::push_reserved`].
-    #[inline]
-    pub fn push_reserved_keyed(&mut self, time: SimTime, key: u32, seq: u64, event: E) {
-        if time < self.now {
-            self.monotonicity_violations += 1;
-        }
-        debug_assert!(
-            time >= self.now,
-            "scheduling into the past: {time} < now {now}",
-            now = self.now
-        );
-        debug_assert!(
-            seq < self.seq,
-            "push_reserved_keyed with an unclaimed seq {seq} (next is {next})",
-            next = self.seq
-        );
-        self.backend.insert(
-            Entry {
-                time,
-                key,
-                seq,
-                event,
-            },
-            self.now,
-        );
-    }
-
     /// Remove and return the earliest event, advancing the clock to its
     /// timestamp. Returns `None` when the queue is exhausted.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.backend.remove_min()?;
+        let entry = self.fel.remove_min()?;
         if entry.time < self.now {
             self.monotonicity_violations += 1;
         }
@@ -309,7 +137,7 @@ impl<E> EventQueue<E> {
     /// Timestamp of the earliest pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.backend.min_time()
+        self.fel.min_time()
     }
 
     /// `(time, key)` of the earliest pending event, if any. The sharded
@@ -317,7 +145,7 @@ impl<E> EventQueue<E> {
     /// (per-shard `seq` counters are not comparable across queues).
     #[inline]
     pub fn peek_time_key(&self) -> Option<(SimTime, u32)> {
-        self.backend.min_time_key()
+        self.fel.min_time_key()
     }
 
     /// Advance the clock to `max(now, t)` without popping. The sharded
@@ -341,18 +169,16 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.backend.len()
+        self.fel.len()
     }
 
     /// True when no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.backend.is_empty()
+        self.fel.is_empty()
     }
 
-    /// Total number of events ever scheduled, including sequence numbers
-    /// claimed via [`EventQueue::reserve_seq`] that have not materialized
-    /// yet (diagnostics).
+    /// Total number of events ever scheduled (diagnostics).
     #[inline]
     pub fn scheduled_total(&self) -> u64 {
         self.seq
@@ -372,7 +198,7 @@ impl<E> EventQueue<E> {
     /// still in flight at the horizon) wants the set, not the order.
     pub fn drain_unordered(&mut self) -> impl Iterator<Item = (SimTime, E)> + '_ {
         let mut out = Vec::new();
-        self.backend.drain_into(&mut out);
+        self.fel.drain_into(&mut out);
         out.into_iter().map(|e| (e.time, e.event))
     }
 }
@@ -381,15 +207,15 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BinaryHeap;
 
-    /// Every queue shape a test should pass on: both production backends
-    /// plus a deliberately tiny calendar wheel (16 ns × 64 buckets ≈ 1 µs
-    /// window) that forces overflow, promotion and wrap-around on the same
+    /// Every queue shape a test should pass on: the default wheel plus a
+    /// deliberately tiny one (16 ns × 64 buckets ≈ 1 µs window) that
+    /// forces overflow, promotion and wrap-around on the same
     /// nanosecond-scale schedules the other tests use.
     fn all_queues<E>() -> Vec<(&'static str, EventQueue<E>)> {
         vec![
-            ("calendar", EventQueue::with_kind(FelKind::Calendar)),
-            ("heap", EventQueue::with_kind(FelKind::Heap)),
+            ("calendar", EventQueue::new()),
             ("calendar-tiny", EventQueue::with_calendar_geometry(4, 64)),
         ]
     }
@@ -450,15 +276,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "scheduling into the past")]
-    fn rejects_past_scheduling_on_heap_too() {
-        let mut q = EventQueue::with_kind(FelKind::Heap);
-        q.push(SimTime::from_nanos(100), ());
-        q.pop();
-        q.push(SimTime::from_nanos(99), ());
-    }
-
-    #[test]
     fn interleaved_push_pop_keeps_order() {
         for (name, mut q) in all_queues() {
             q.push(SimTime::from_nanos(10), 1);
@@ -474,18 +291,15 @@ mod tests {
 
     #[test]
     fn counts_are_consistent() {
-        for kind in [FelKind::Calendar, FelKind::Heap] {
-            let mut q = EventQueue::with_capacity_and_kind(8, kind);
-            assert_eq!(q.kind(), kind);
-            assert!(q.is_empty());
-            q.push(SimTime::from_nanos(1), ());
-            q.push(SimTime::from_nanos(2), ());
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.scheduled_total(), 2);
-            q.pop();
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.scheduled_total(), 2);
-        }
+        let mut q = EventQueue::with_capacity(8);
+        assert!(q.is_empty());
+        q.push(SimTime::from_nanos(1), ());
+        q.push(SimTime::from_nanos(2), ());
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.scheduled_total(), 2);
+        q.pop();
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.scheduled_total(), 2);
     }
 
     #[test]
@@ -500,11 +314,9 @@ mod tests {
             q.push_keyed(t, 2, "c2");
             q.push_keyed(t, 1, "b2");
             q.push(t, "a2");
-            let held = q.reserve_seq();
-            q.push_keyed(t, 1, "b4");
-            q.push_reserved_keyed(t, 1, held, "b3");
+            q.push_keyed(t, 1, "b3");
             assert_eq!(q.peek_time_key(), Some((t, 0)), "{name}");
-            for want in ["a1", "a2", "b1", "b2", "b3", "b4", "c1", "c2"] {
+            for want in ["a1", "a2", "b1", "b2", "b3", "c1", "c2"] {
                 assert_eq!(q.pop(), Some((t, want)), "{name}");
             }
             assert_eq!(q.pop(), None, "{name}");
@@ -528,40 +340,6 @@ mod tests {
             assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 1)), "{name}");
             assert_eq!(q.pop(), Some((SimTime::from_nanos(20), 2)), "{name}");
             assert_eq!(q.pop(), Some((SimTime::from_millis(5), 3)), "{name}");
-        }
-    }
-
-    #[test]
-    fn reserved_seq_keeps_fifo_position_among_ties() {
-        // Claim a seq, push two later-claimed ties, then materialize the
-        // reservation: it must pop *before* the ties pushed after the
-        // claim, exactly where an eager push would have landed.
-        for (name, mut q) in all_queues() {
-            let t = SimTime::from_nanos(50);
-            q.push(t, 0u32);
-            let held = q.reserve_seq();
-            q.push(t, 2u32);
-            q.push(t, 3u32);
-            q.push_reserved(t, held, 1u32);
-            for want in 0..4u32 {
-                assert_eq!(q.pop(), Some((t, want)), "{name}");
-            }
-        }
-    }
-
-    #[test]
-    fn reserved_seq_counts_toward_scheduled_total() {
-        for (name, mut q) in all_queues::<u8>() {
-            q.push(SimTime::from_nanos(1), 0);
-            let held = q.reserve_seq();
-            assert_eq!(q.scheduled_total(), 2, "{name}");
-            assert_eq!(q.len(), 1, "{name}");
-            q.push_reserved(SimTime::from_nanos(2), held, 1);
-            assert_eq!(q.scheduled_total(), 2, "{name}");
-            assert_eq!(q.len(), 2, "{name}");
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(1), 0)), "{name}");
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(2), 1)), "{name}");
-            assert_eq!(q.monotonicity_violations(), 0, "{name}");
         }
     }
 
@@ -671,14 +449,80 @@ mod tests {
         assert_eq!(q.monotonicity_violations(), 0);
     }
 
+    /// The differential proptest's reference model: the original binary
+    /// heap under `EventQueue`'s `(time, key, seq)` bookkeeping.
+    /// [`Entry`]'s reversed `Ord` turns the std max-heap into a min-queue.
+    struct HeapFel {
+        heap: BinaryHeap<Entry<u32>>,
+        seq: u64,
+        now: SimTime,
+    }
+
+    /// The queue operations a differential script drives.
+    trait ScriptQueue {
+        fn now(&self) -> SimTime;
+        fn push(&mut self, time: SimTime, event: u32);
+        fn pop(&mut self) -> Option<(SimTime, u32)>;
+        fn peek_time(&self) -> Option<SimTime>;
+        fn len(&self) -> usize;
+        fn push_after(&mut self, delay: SimTime, event: u32) {
+            self.push(self.now() + delay, event);
+        }
+    }
+
+    impl ScriptQueue for EventQueue<u32> {
+        fn now(&self) -> SimTime {
+            EventQueue::now(self)
+        }
+        fn push(&mut self, time: SimTime, event: u32) {
+            EventQueue::push(self, time, event)
+        }
+        fn pop(&mut self) -> Option<(SimTime, u32)> {
+            EventQueue::pop(self)
+        }
+        fn peek_time(&self) -> Option<SimTime> {
+            EventQueue::peek_time(self)
+        }
+        fn len(&self) -> usize {
+            EventQueue::len(self)
+        }
+    }
+
+    impl ScriptQueue for HeapFel {
+        fn now(&self) -> SimTime {
+            self.now
+        }
+        fn push(&mut self, time: SimTime, event: u32) {
+            let seq = self.seq;
+            self.seq += 1;
+            self.heap.push(Entry {
+                time,
+                key: 0,
+                seq,
+                event,
+            });
+        }
+        fn pop(&mut self) -> Option<(SimTime, u32)> {
+            let e = self.heap.pop()?;
+            self.now = e.time;
+            Some((e.time, e.event))
+        }
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.time)
+        }
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+    }
+
     /// Per-op observation of a differential script: what popped, the peek,
     /// and the queue length.
     type StepLog = Vec<(Option<(SimTime, u32)>, Option<SimTime>, usize)>;
 
     /// One differential step script: interleaved pushes (with heavy
-    /// timestamp ties) and pops, replayed on every backend; all observable
-    /// outputs must match the heap reference exactly.
-    fn run_script(q: &mut EventQueue<u32>, ops: &[(u8, u16)]) -> StepLog {
+    /// timestamp ties) and pops, replayed on every wheel geometry; all
+    /// observable outputs must match the heap reference exactly.
+    fn run_script(q: &mut impl ScriptQueue, ops: &[(u8, u16)]) -> StepLog {
         let mut log = Vec::with_capacity(ops.len());
         for (i, &(sel, raw)) in ops.iter().enumerate() {
             let popped = match sel % 4 {
@@ -753,30 +597,28 @@ mod tests {
 
         /// Differential: random interleaved push/pop/push_after scripts
         /// with heavy timestamp ties must produce identical pop results,
-        /// peeks, lengths and counters on the calendar backends vs the
-        /// heap reference.
+        /// peeks, lengths and clocks on every calendar geometry as on the
+        /// binary-heap reference model.
         #[test]
         fn prop_backends_are_indistinguishable(
             ops in proptest::collection::vec((0u8..4, 0u16..u16::MAX), 1..300)
         ) {
-            let mut reference = EventQueue::with_kind(FelKind::Heap);
+            let mut reference = HeapFel {
+                heap: BinaryHeap::new(),
+                seq: 0,
+                now: SimTime::ZERO,
+            };
             let ref_log = run_script(&mut reference, &ops);
             for (name, mut q) in [
-                ("calendar", EventQueue::with_kind(FelKind::Calendar)),
+                ("calendar", EventQueue::new()),
                 ("calendar-tiny", EventQueue::with_calendar_geometry(4, 64)),
                 ("calendar-wide", EventQueue::with_calendar_geometry(14, 64)),
             ] {
                 let log = run_script(&mut q, &ops);
                 prop_assert_eq!(&log, &ref_log, "{} diverged from heap", name);
-                prop_assert_eq!(q.now(), reference.now(), "{}: clock", name);
-                prop_assert_eq!(
-                    q.scheduled_total(), reference.scheduled_total(), "{}: scheduled", name
-                );
-                prop_assert_eq!(
-                    q.monotonicity_violations(),
-                    reference.monotonicity_violations(),
-                    "{}: violations", name
-                );
+                prop_assert_eq!(q.now(), reference.now, "{}: clock", name);
+                prop_assert_eq!(q.scheduled_total(), reference.seq, "{}: scheduled", name);
+                prop_assert_eq!(q.monotonicity_violations(), 0, "{}: violations", name);
             }
         }
     }

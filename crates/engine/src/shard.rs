@@ -9,10 +9,9 @@
 use crate::env_knob;
 
 /// Which execution engine drives a run: the serial reference event loop, or
-/// the conservatively synchronized multi-core sharded engine. Mirrors the
-/// [`crate::FelKind`] / `LbDispatch` / `DeliveryKind` pattern: the serial
-/// engine stays alive as the differential reference, and both engines must
-/// produce bit-identical event/FCT/audit digests.
+/// the conservatively synchronized multi-core sharded engine. Both engines
+/// must produce bit-identical event/FCT/audit digests; the serial engine is
+/// also the sharded engine's fallback.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineKind {
     /// The single-threaded reference event loop.

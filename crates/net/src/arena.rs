@@ -1,8 +1,8 @@
 //! A recycling arena for in-flight packets.
 //!
-//! The simulator's per-packet reference delivery mode used to carry every
-//! in-flight packet as a `Box<Packet>` inside its FEL event — one heap
-//! round-trip per packet per hop. The arena replaces that with a slab:
+//! Every packet crossing a link is one FEL event. Carrying the packet as a
+//! `Box<Packet>` inside that event costs one heap round-trip per packet
+//! per hop; the arena replaces that with a slab:
 //! packets park in a flat `Vec`, events carry a 4-byte [`PacketSlot`]
 //! handle, and freed slots go on a free list for reuse, so steady state
 //! recycles storage instead of allocating.

@@ -1,8 +1,7 @@
 //! Simulation configuration: topology + transport + switch + scheme.
 
-use crate::dispatch::LbDispatch;
 use crate::scheme::Scheme;
-use tlb_engine::{EngineKind, FelKind, SimTime};
+use tlb_engine::{EngineKind, SimTime};
 use tlb_net::{Fabric, LeafId, LeafSpineBuilder, SpineId};
 use tlb_switch::QueueCfg;
 use tlb_transport::TcpConfig;
@@ -126,28 +125,10 @@ pub struct SimConfig {
     /// audit tests) disables it.
     #[doc(hidden)]
     pub fault_drop_nth: Option<u64>,
-    /// Future-event-list backend for the run. Presets take the process
-    /// default (`TLB_FEL` env var / `heap-fel` feature, else the calendar
-    /// queue); the differential tests pin it explicitly.
-    /// Both backends are bit-identical in results — this only selects the
-    /// data structure.
-    pub fel: FelKind,
-    /// Load-balancer dispatch path. Presets take the process default
-    /// (`TLB_LB_DISPATCH` env var / `dyn-lb` feature, else static enum
-    /// dispatch); differential tests pin it explicitly.
-    /// Both paths are bit-identical in results — this only selects the
-    /// call mechanism.
-    pub lb_dispatch: LbDispatch,
-    /// Packet-delivery scheduling. Presets take the process default
-    /// (`TLB_DELIVERY` env var, else per-link pipelines); differential
-    /// tests pin it explicitly. Both modes are
-    /// bit-identical in results — this only selects how arrivals sit in
-    /// the future-event list.
-    pub delivery: DeliveryKind,
     /// Simulation fidelity. Presets take the process default
-    /// (`TLB_FIDELITY` env var, else full packet fidelity). Unlike the
-    /// other differential knobs, [`FidelityKind::Hybrid`] is a *modeling*
-    /// change: long-flow tails ride a fluid fair-share rate model, so
+    /// (`TLB_FIDELITY` env var, else full packet fidelity).
+    /// [`FidelityKind::Hybrid`] is a *modeling* change: long-flow tails
+    /// ride a fluid fair-share rate model, so
     /// results agree with [`FidelityKind::Packet`] within tolerance bands
     /// (`tests/fidelity.rs`) rather than bit-for-bit.
     pub fidelity: FidelityKind,
@@ -188,35 +169,6 @@ fn alloc_warmup_from_env() -> Option<u64> {
             .map(Some)
             .map_err(|_| "want 0, 1, or a warmup event count".to_string()),
     })
-}
-
-/// How in-flight packets are scheduled for arrival.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeliveryKind {
-    /// One `VecDeque` pipe per link with a single chained delivery event:
-    /// FEL occupancy stays O(ports + links + timers) regardless of
-    /// packets in flight — the default production path.
-    Pipelined,
-    /// One FEL entry per in-flight packet, kept as the differential
-    /// reference.
-    PerPacket,
-}
-
-impl DeliveryKind {
-    /// The delivery mode selected by the environment:
-    /// `TLB_DELIVERY=pipelined` or `=per-packet`, defaulting to
-    /// [`DeliveryKind::Pipelined`].
-    pub fn from_env() -> DeliveryKind {
-        tlb_engine::env_knob::choice(
-            "TLB_DELIVERY",
-            DeliveryKind::Pipelined,
-            &[
-                ("pipelined", DeliveryKind::Pipelined),
-                ("per-packet", DeliveryKind::PerPacket),
-                ("per_packet", DeliveryKind::PerPacket),
-            ],
-        )
-    }
 }
 
 /// Which traffic runs at packet-level fidelity.
@@ -282,9 +234,6 @@ impl SimConfig {
             sample_queues: false,
             audit: cfg!(debug_assertions),
             fault_drop_nth: None,
-            fel: FelKind::from_env(),
-            lb_dispatch: LbDispatch::from_env(),
-            delivery: DeliveryKind::from_env(),
             fidelity: FidelityKind::from_env(),
             alloc_warmup_events: alloc_warmup_from_env(),
             engine: EngineKind::from_env(),
@@ -322,9 +271,6 @@ impl SimConfig {
             sample_queues: false,
             audit: cfg!(debug_assertions),
             fault_drop_nth: None,
-            fel: FelKind::from_env(),
-            lb_dispatch: LbDispatch::from_env(),
-            delivery: DeliveryKind::from_env(),
             fidelity: FidelityKind::from_env(),
             alloc_warmup_events: alloc_warmup_from_env(),
             engine: EngineKind::from_env(),
@@ -360,9 +306,6 @@ impl SimConfig {
             sample_queues: false,
             audit: cfg!(debug_assertions),
             fault_drop_nth: None,
-            fel: FelKind::from_env(),
-            lb_dispatch: LbDispatch::from_env(),
-            delivery: DeliveryKind::from_env(),
             fidelity: FidelityKind::from_env(),
             alloc_warmup_events: alloc_warmup_from_env(),
             engine: EngineKind::from_env(),

@@ -1,20 +1,11 @@
-//! Static load-balancer dispatch: the hot-path alternative to
-//! `Box<dyn LoadBalancer>`.
+//! Static load-balancer dispatch.
 //!
-//! [`Scheme::build`] returns a trait object, which costs a virtual call on
-//! **every** forwarded packet. [`AnyLb`] is a closed enum over the same
-//! concrete schemes whose trait methods dispatch by `match` — the compiler
-//! sees through the variant and can inline the scheme's decision logic
-//! into the forwarding loop.
-//!
-//! The `dyn` path stays alive as a differential reference (mirroring the
-//! FEL's heap-vs-calendar pattern): [`AnyLb::Dyn`] wraps the trait object,
-//! [`LbDispatch`] selects which path a run uses, `TLB_LB_DISPATCH`
-//! overrides it per process, and the `dyn-lb` cargo feature flips the
-//! default. Both paths must be observably identical — digest tests in
-//! `tests/determinism.rs` hold them to bit-for-bit equality.
+//! [`AnyLb`] is a closed enum over the concrete schemes whose
+//! [`LoadBalancer`] methods dispatch by `match`: the compiler sees through
+//! the variant and can inline the scheme's decision logic into the
+//! forwarding loop, where a `Box<dyn LoadBalancer>` would cost a virtual
+//! call on every forwarded packet. [`crate::Scheme::build`] constructs one.
 
-use crate::Scheme;
 use tlb_core::Tlb;
 use tlb_engine::{SimRng, SimTime};
 use tlb_lb::{
@@ -23,41 +14,7 @@ use tlb_lb::{
 use tlb_net::Packet;
 use tlb_switch::{LoadBalancer, PortView};
 
-/// Which load-balancer dispatch path a run uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LbDispatch {
-    /// Static enum dispatch ([`AnyLb`]'s concrete variants) — the default
-    /// production path.
-    Enum,
-    /// The original `Box<dyn LoadBalancer>` virtual-call path, kept as a
-    /// differential reference.
-    Dyn,
-}
-
-impl LbDispatch {
-    /// The dispatch selected by the environment: `TLB_LB_DISPATCH=enum`
-    /// or `=dyn`, defaulting to [`LbDispatch::Enum`] (the `dyn-lb`
-    /// feature flips the default to `Dyn`).
-    pub fn from_env() -> LbDispatch {
-        tlb_engine::env_knob::choice(
-            "TLB_LB_DISPATCH",
-            Self::default_kind(),
-            &[("enum", LbDispatch::Enum), ("dyn", LbDispatch::Dyn)],
-        )
-    }
-
-    fn default_kind() -> LbDispatch {
-        if cfg!(feature = "dyn-lb") {
-            LbDispatch::Dyn
-        } else {
-            LbDispatch::Enum
-        }
-    }
-}
-
-/// A load balancer with static dispatch: one variant per concrete scheme,
-/// plus [`AnyLb::Dyn`] wrapping the boxed trait object as the
-/// differential reference path.
+/// A load balancer with static dispatch: one variant per concrete scheme.
 pub enum AnyLb {
     /// Flow-level hashing.
     Ecmp(Ecmp),
@@ -81,8 +38,6 @@ pub enum AnyLb {
     DiffFlow(DiffFlow),
     /// The paper's scheme: traffic-aware adaptive granularity.
     Tlb(Box<Tlb>),
-    /// Virtual-call reference path (`dyn-lb` feature / `TLB_LB_DISPATCH=dyn`).
-    Dyn(Box<dyn LoadBalancer>),
 }
 
 /// Forward one expression to every variant's payload. `Box<T>` payloads
@@ -101,7 +56,6 @@ macro_rules! dispatch {
             AnyLb::Wcmp($lb) => $body,
             AnyLb::DiffFlow($lb) => $body,
             AnyLb::Tlb($lb) => $body,
-            AnyLb::Dyn($lb) => $body,
         }
     };
 }
@@ -160,7 +114,6 @@ impl LoadBalancer for AnyLb {
             AnyLb::Wcmp(lb) => LoadBalancer::long_reroutes(lb),
             AnyLb::DiffFlow(lb) => LoadBalancer::long_reroutes(lb),
             AnyLb::Tlb(lb) => LoadBalancer::long_reroutes(&**lb),
-            AnyLb::Dyn(lb) => lb.long_reroutes(),
         }
     }
 
@@ -180,149 +133,6 @@ impl LoadBalancer for AnyLb {
             AnyLb::Wcmp(lb) => LoadBalancer::forced_reroutes(lb),
             AnyLb::DiffFlow(lb) => LoadBalancer::forced_reroutes(lb),
             AnyLb::Tlb(lb) => LoadBalancer::forced_reroutes(&**lb),
-            AnyLb::Dyn(lb) => lb.forced_reroutes(),
-        }
-    }
-}
-
-impl Scheme {
-    /// Build this scheme as a statically dispatched [`AnyLb`].
-    pub fn build_static(&self, salt: u64) -> AnyLb {
-        match self {
-            Scheme::Ecmp => AnyLb::Ecmp(Ecmp::new(salt)),
-            Scheme::Rps => AnyLb::Rps(Rps::new()),
-            Scheme::Presto { cell_bytes } => AnyLb::Presto(Presto::new(*cell_bytes)),
-            Scheme::LetFlow { timeout } => AnyLb::LetFlow(LetFlow::new(*timeout)),
-            Scheme::Drill { d, m } => AnyLb::Drill(Drill::new(*d, *m)),
-            Scheme::CongaLite { timeout } => AnyLb::CongaLite(CongaLite::new(*timeout)),
-            Scheme::FlowBender {
-                mark_threshold_pkts,
-                frac_threshold,
-                window_pkts,
-            } => AnyLb::FlowBender(FlowBender::new(
-                *mark_threshold_pkts,
-                *frac_threshold,
-                *window_pkts,
-            )),
-            Scheme::Hermes {
-                reroute_size_bytes,
-                congested_pkts,
-                benefit_factor,
-            } => AnyLb::Hermes(HermesLite::new(
-                *reroute_size_bytes,
-                *congested_pkts,
-                *benefit_factor,
-            )),
-            Scheme::Wcmp => AnyLb::Wcmp(Wcmp::new()),
-            Scheme::DiffFlow { threshold_bytes } => {
-                AnyLb::DiffFlow(DiffFlow::new(*threshold_bytes))
-            }
-            Scheme::Tlb(cfg) => AnyLb::Tlb(Box::new(Tlb::new(*cfg))),
-        }
-    }
-
-    /// Build this scheme on the requested dispatch path. Both paths
-    /// construct the identical concrete balancer from the identical salt —
-    /// only the call mechanism differs.
-    pub fn build_dispatch(&self, salt: u64, dispatch: LbDispatch) -> AnyLb {
-        match dispatch {
-            LbDispatch::Enum => self.build_static(salt),
-            LbDispatch::Dyn => AnyLb::Dyn(self.build(salt)),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Every scheme: the enum path and the dyn path must expose identical
-    /// trait-level metadata and make identical decisions on a packet
-    /// stream (same salt, same RNG stream).
-    #[test]
-    fn enum_and_dyn_paths_agree_per_scheme() {
-        use tlb_net::{FlowId, HostId, LinkProps, PktKind};
-        use tlb_switch::{OutPort, QueueCfg};
-
-        let link = LinkProps::gbps(1.0, SimTime::ZERO);
-        let qcfg = QueueCfg {
-            capacity_pkts: 64,
-            ecn_threshold_pkts: Some(8),
-        };
-        let ports: Vec<OutPort> = (0..8)
-            .map(|i| {
-                let mut p = OutPort::new(link, qcfg);
-                for s in 0..(i * 3 % 7) {
-                    p.enqueue(
-                        Packet::data(
-                            FlowId(500),
-                            HostId(0),
-                            HostId(1),
-                            s as u32,
-                            1460,
-                            40,
-                            SimTime::ZERO,
-                        ),
-                        SimTime::ZERO,
-                    );
-                }
-                p
-            })
-            .collect();
-
-        for scheme in Scheme::extended_set() {
-            let mut fast = scheme.build_dispatch(7, LbDispatch::Enum);
-            let mut slow = scheme.build_dispatch(7, LbDispatch::Dyn);
-            assert_eq!(fast.name(), slow.name());
-            assert_eq!(fast.tick_interval(), slow.tick_interval());
-            assert_eq!(fast.state_bytes(), slow.state_bytes());
-            assert_eq!(fast.q_threshold(), slow.q_threshold());
-            assert_eq!(fast.long_reroutes(), slow.long_reroutes());
-            assert_eq!(fast.forced_reroutes(), slow.forced_reroutes());
-
-            let mut rng_a = SimRng::new(11);
-            let mut rng_b = SimRng::new(11);
-            let mut now = SimTime::ZERO;
-            for i in 0..512u32 {
-                now += SimTime::from_nanos(700);
-                let pkt = match i % 97 {
-                    0 => Packet::control(
-                        FlowId(i / 7),
-                        HostId(0),
-                        HostId(9),
-                        PktKind::Syn,
-                        0,
-                        SimTime::ZERO,
-                    ),
-                    1 => Packet::control(
-                        FlowId(i / 7),
-                        HostId(0),
-                        HostId(9),
-                        PktKind::Fin,
-                        0,
-                        SimTime::ZERO,
-                    ),
-                    _ => Packet::data(
-                        FlowId(i / 7),
-                        HostId(0),
-                        HostId(9),
-                        i,
-                        1460,
-                        40,
-                        SimTime::ZERO,
-                    ),
-                };
-                let a = fast.choose_uplink(&pkt, PortView::new(&ports), now, &mut rng_a);
-                let b = slow.choose_uplink(&pkt, PortView::new(&ports), now, &mut rng_b);
-                assert_eq!(a, b, "{} diverged at packet {i}", scheme.name());
-            }
-        }
-    }
-
-    #[test]
-    fn dispatch_env_defaults_to_enum() {
-        if std::env::var("TLB_LB_DISPATCH").is_err() && !cfg!(feature = "dyn-lb") {
-            assert_eq!(LbDispatch::from_env(), LbDispatch::Enum);
         }
     }
 }

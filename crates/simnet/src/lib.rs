@@ -33,10 +33,8 @@ pub mod runner;
 pub mod scheme;
 
 pub use audit::{AuditReport, KindCounts};
-pub use config::{
-    DeliveryKind, FailureAction, FailureEvent, FailureTarget, FidelityKind, LinkEvent, SimConfig,
-};
-pub use dispatch::{AnyLb, LbDispatch};
+pub use config::{FailureAction, FailureEvent, FailureTarget, FidelityKind, LinkEvent, SimConfig};
+pub use dispatch::AnyLb;
 pub use network::Simulation;
 pub use report::{Hop, RunReport, ShardFallback, Summary, TraceEvent};
 pub use runner::{run_all, run_all_ref, run_one, run_one_ref};

@@ -21,8 +21,7 @@
 //! All output ports live in one flat `Vec<OutPort>` indexed by [`PortId`]
 //! (hosts' NICs, then per switch its uplinks followed by its downlinks —
 //! see [`PortMap`]), with the next-hop node precomputed per port. Load
-//! balancers dispatch statically through [`crate::AnyLb`] unless the run
-//! pins [`crate::LbDispatch::Dyn`].
+//! balancers dispatch statically through [`crate::AnyLb`].
 //!
 //! ## Failures
 //!
@@ -34,26 +33,22 @@
 //! without failure events never consult the masks and are bit-identical
 //! to the historical static-fabric paths.
 //!
-//! In-flight packets ride **per-link delivery pipes**: a link has constant
-//! propagation delay and its port serializes packets one at a time, so
-//! arrival times per link are non-decreasing and FIFO. Instead of one FEL
-//! entry per in-flight packet, each link keeps a `VecDeque` of
-//! `(arrival time, reserved seq, packet)` and at most one chained
-//! `Deliver` event in the FEL; popping it delivers the head and re-arms
-//! the chain. Sequence numbers are *reserved* at the moment a per-packet
-//! push would have happened ([`tlb_engine::EventQueue::reserve_seq`]), so
-//! the FEL's `(time, seq)` pop order — and therefore every observable
-//! result — is bit-identical to the per-packet reference
-//! ([`crate::DeliveryKind::PerPacket`]). The payoff is FEL occupancy
-//! bounded by O(ports + links + pending timers/starts) instead of
-//! O(packets in flight); the run loop enforces that bound whenever the
-//! audit is on.
+//! ## Arrivals
+//!
+//! Every packet crossing a link is one `Arrive` event: when a port
+//! finishes serializing, the packet parks in the [`PacketArena`] and the
+//! event carries its 4-byte slot handle, scheduled one propagation delay
+//! later. The serial and the sharded engine share this one arrival path —
+//! a cross-shard handoff is the same `Arrive`, scheduled by the receiving
+//! shard. FEL occupancy is therefore at most one `TxDone` per port, one
+//! `Arrive` per packet in flight (exactly the arena's live slots), and the
+//! pending flow starts, timers, housekeeping and fluid completions; the
+//! run loop enforces that bound whenever the audit is on.
 
 use crate::audit::{AuditLedger, PortAudit};
-use crate::config::{DeliveryKind, FidelityKind, SimConfig};
+use crate::config::{FidelityKind, SimConfig};
 use crate::dispatch::AnyLb;
 use crate::report::{AllocAudit, ClassCounters, RunReport};
-use std::collections::VecDeque;
 use tlb_engine::{alloc_audit, EventQueue, SimRng, SimTime};
 use tlb_metrics::{FctRecorder, FlowClass, SampleSet, TimeSeries};
 use tlb_net::{
@@ -364,12 +359,10 @@ enum Event {
     FlowStart(u32),
     /// The packet in service on `port` finished serializing.
     TxDone(PortId),
-    /// The head of `port`'s delivery pipe arrives now (pipelined mode).
-    Deliver(PortId),
-    /// A packet arrives after crossing `port`'s link (per-packet reference
-    /// mode). The packet itself parks in the [`PacketArena`]; the event
-    /// carries its 4-byte generation-checked handle, so the hot enum stays
-    /// one word of payload with no heap round-trip per packet.
+    /// A packet arrives after crossing `port`'s link. The packet itself
+    /// parks in the [`PacketArena`]; the event carries its 4-byte
+    /// generation-checked handle, so the hot enum stays one word of payload
+    /// with no heap round-trip per packet.
     Arrive { port: PortId, slot: PacketSlot },
     /// A sender's retransmission timer fires.
     Timer { flow: u32 },
@@ -406,16 +399,15 @@ fn key_of(class: u32, entity: u32) -> u32 {
 /// pushed by exactly one shard, so same-`(time, key)` ties are always
 /// same-shard (ordered by that shard's local FIFO `seq`, exactly the
 /// relative order a serial run assigns) and cross-shard order is settled
-/// by `(time, key)` alone. `Arrive` and `Deliver` share a class on the
-/// transmitting port because they are the same arrival in the two delivery
-/// modes — the reserved-seq machinery keeps the tie order aligned.
+/// by `(time, key)` alone. An `Arrive` is keyed by its transmitting port,
+/// so a cross-shard handoff — scheduled by the receiving shard — sorts
+/// exactly where the sending shard's own push would have.
 #[inline]
 fn event_key(ev: &Event) -> u32 {
     match *ev {
         Event::FlowStart(f) => key_of(0, f),
         Event::Timer { flow } => key_of(1, flow),
         Event::Arrive { port, .. } => key_of(2, port),
-        Event::Deliver(p) => key_of(2, p),
         Event::TxDone(p) => key_of(3, p),
         Event::LbTick { sw } => key_of(4, sw as u32),
         Event::QueueSample => key_of(5, 0),
@@ -426,20 +418,12 @@ fn event_key(ev: &Event) -> u32 {
 }
 
 /// Push `ev` with its ordering key (every FEL insertion in this module
-/// goes through here or [`tlb_engine::EventQueue::push_reserved_keyed`],
-/// so both engines realize the same `(time, key, seq)` order).
+/// goes through here, so both engines realize the same `(time, key, seq)`
+/// order).
 #[inline]
 fn push_ev(q: &mut EventQueue<Event>, at: SimTime, ev: Event) {
     let key = event_key(&ev);
     q.push_keyed(at, key, ev);
-}
-
-/// One in-flight packet parked in a link's delivery pipe: its arrival
-/// time and the FEL sequence number reserved for it.
-struct PipeEntry {
-    at: SimTime,
-    seq: u64,
-    pkt: Packet,
 }
 
 /// An LB switch's control state (its ports live in the flat table).
@@ -464,9 +448,6 @@ struct Net<'a> {
     pmap: PortMap,
     /// Every output queue in the fabric, laid out per [`PortMap`].
     ports: Vec<OutPort>,
-    /// Per-link delivery pipes, parallel to `ports` (each port drives
-    /// exactly one link). Empty in per-packet mode.
-    pipes: Vec<VecDeque<PipeEntry>>,
     /// Precomputed next hop per port.
     next_node: Vec<NodeRef>,
     /// One balancer per LB switch (leaves, or edges then aggs).
@@ -485,8 +466,7 @@ struct Net<'a> {
     /// each link. A mid-run propagation-delay *decrease* would otherwise
     /// let later packets overtake earlier ones on the same wire — links
     /// are FIFO, so arrivals clamp to this floor (a no-op whenever a
-    /// link's delay never shrinks, which keeps legacy runs bit-identical
-    /// in both delivery modes).
+    /// link's delay never shrinks, which keeps legacy runs bit-identical).
     link_fifo: Vec<SimTime>,
     senders: Vec<Option<TcpSender>>,
     receivers: Vec<Option<TcpReceiver>>,
@@ -499,9 +479,8 @@ struct Net<'a> {
     completed: Vec<bool>,
     n_completed: usize,
     q: EventQueue<Event>,
-    /// Parking lot for in-flight packets in per-packet delivery mode
-    /// (`Event::Arrive` carries a slot handle). Unused — and unallocated —
-    /// in pipelined mode, where packets ride the link pipes inline.
+    /// Parking lot for in-flight packets (`Event::Arrive` carries a slot
+    /// handle).
     arena: PacketArena,
     /// Recycles receivers' out-of-order buffers across flow lifetimes.
     ooo_pool: OooPool,
@@ -511,7 +490,7 @@ struct Net<'a> {
     alloc_at_warmup: Option<alloc_audit::AllocCounters>,
     /// Steady-state allocation report, filled at run-loop exit.
     alloc_report: Option<AllocAudit>,
-    // FEL-occupancy bound bookkeeping (mode-independent counters).
+    // FEL-occupancy bound bookkeeping.
     /// `FlowStart` events pending in the FEL.
     starts_pending: u64,
     /// `Timer` events pending in the FEL.
@@ -695,17 +674,17 @@ impl<'a> Net<'a> {
         }
         debug_assert_eq!(ports.len(), pmap.n_ports());
         let next_node = (0..ports.len() as u32).map(|p| pmap.next_node(p)).collect();
-        // Pre-size each link's delivery pipe from the link's physics: one
-        // serializer feeds the pipe, every entry costs at least the
-        // smallest packet's serialization time, and entries live exactly
-        // one propagation delay — so at most `prop/tx(min_wire) + 1`
-        // packets are ever in flight. A mid-run [`LinkEvent`] can stretch
-        // prop_delay or (bw_factor > 1) shrink serialization time, either
-        // of which *raises* the ceiling — so replay each port's whole
-        // event schedule in time order and size for the worst state it
-        // ever reaches. This is what keeps pipe growth out of the
-        // steady-state allocation gate ([`Net::refit_pipe`] is the
-        // belt-and-braces check at the event itself).
+        // Bound the packets ever in flight on each link from its physics:
+        // one serializer feeds the wire, every packet costs at least the
+        // smallest packet's serialization time, and packets stay on the
+        // wire exactly one propagation delay — so at most
+        // `prop/tx(min_wire) + 1` are ever in flight. A mid-run
+        // [`LinkEvent`] can stretch prop_delay or (bw_factor > 1) shrink
+        // serialization time, either of which *raises* the ceiling — so
+        // replay each port's whole event schedule in time order and take
+        // the worst state it ever reaches. The sum sizes the FEL and the
+        // packet arena, keeping their growth out of the steady-state
+        // allocation gate.
         let min_wire = cfg.tcp.header_bytes.max(1) as u64;
         let in_flight_bound = |l: &LinkProps| -> usize {
             let tx = tlb_engine::time::tx_time(min_wire, l.bytes_per_sec)
@@ -713,7 +692,7 @@ impl<'a> Net<'a> {
                 .max(1);
             (l.prop_delay.as_nanos() / tx + 2).min(4096) as usize
         };
-        let pipe_caps: Vec<usize> = (0..ports.len() as u32)
+        let in_flight: usize = (0..ports.len() as u32)
             .map(|p| {
                 let mut link = ports[p as usize].link();
                 let mut worst = in_flight_bound(&link);
@@ -736,41 +715,24 @@ impl<'a> Net<'a> {
                 }
                 worst
             })
-            .collect();
-        let total_pipe: usize = pipe_caps.iter().sum();
-        let pipes: Vec<VecDeque<PipeEntry>> = pipe_caps
-            .iter()
-            .map(|&cap| {
-                if cfg.delivery == DeliveryKind::Pipelined {
-                    VecDeque::with_capacity(cap)
-                } else {
-                    // Per-packet mode never touches the pipes.
-                    VecDeque::new()
-                }
-            })
-            .collect();
+            .sum();
 
         let lb_sws = (0..pmap.n_lb as usize)
             .map(|l| LbSw {
-                lb: cfg.scheme.build_dispatch(l as u64 + 1, cfg.lb_dispatch),
+                lb: cfg.scheme.build(l as u64 + 1),
                 rng: master_rng.fork(l as u64),
             })
             .collect();
 
         let n = flows.len();
-        // Size the FEL so steady state never reallocates. In pipelined
-        // delivery the occupancy is bounded by the fabric (one `TxDone`
-        // plus one `Deliver` per port) plus pending timers/starts; the
-        // per-packet reference mode can additionally hold one `Arrive` per
-        // packet in flight. (For the calendar backend the capacity
-        // reserves the overflow tier, which is exactly where the
-        // build-time bulk of not-yet-started flows lands.)
+        // Size the FEL so steady state never reallocates: one `TxDone` per
+        // port, one `Arrive` per packet in flight, plus pending flow
+        // starts and timers. (The capacity reserves the calendar's
+        // overflow tier, which is exactly where the build-time bulk of
+        // not-yet-started flows lands.)
         let n_ports = pmap.n_ports();
-        // `total_pipe` is the schedule-aware sum of per-link in-flight
-        // bounds (≥ 2 per port), so per-packet mode's extra `Arrive`
-        // entries fit too.
-        let fel_cap = 2 * n + 2 * n_ports + total_pipe + 64;
-        let mut q = EventQueue::with_capacity_and_kind(fel_cap, cfg.fel);
+        let fel_cap = 2 * n + 2 * n_ports + in_flight + 64;
+        let mut q = EventQueue::with_capacity(fel_cap);
         // Only chain heads get their own start event; chained flows are
         // launched by their predecessor's completion.
         let mut is_chained = vec![false; n];
@@ -858,7 +820,6 @@ impl<'a> Net<'a> {
             },
             pmap,
             ports,
-            pipes,
             next_node,
             lb_sws,
             senders: (0..n).map(|_| None).collect(),
@@ -867,17 +828,9 @@ impl<'a> Net<'a> {
             completed: vec![false; n],
             n_completed: 0,
             q,
-            // Per-packet mode parks every in-flight packet here; size it
-            // like the FEL so steady-state occupancy never grows the slab.
-            // Pipelined mode keeps packets in the link pipes instead and
-            // skips the allocation entirely.
-            arena: if cfg.delivery == DeliveryKind::PerPacket || shard.is_some() {
-                // Sharded replicas park cross-shard handoffs here even in
-                // pipelined mode.
-                PacketArena::with_capacity(fel_cap)
-            } else {
-                PacketArena::new()
-            },
+            // Every in-flight packet parks here; size it like the FEL so
+            // steady-state occupancy never grows the slab.
+            arena: PacketArena::with_capacity(fel_cap),
             // The free stack parks at most one buffer per torn-down flow,
             // so `n` bounds it; capped like the other flow-scaled
             // collectors (24 bytes per parked handle).
@@ -1015,19 +968,17 @@ impl<'a> Net<'a> {
 
     /// Sample FEL occupancy once per this many processed events. The
     /// sample schedule depends only on the event count, which is identical
-    /// across FEL backends and thread counts, so the samples are part of
-    /// the deterministic digest.
+    /// across thread counts, so the samples are deterministic.
     const FEL_DEPTH_SAMPLE_EVERY: u64 = 4096;
 
-    /// The pipelined-delivery FEL occupancy bound: at most one `TxDone`
-    /// and one `Deliver` per port, plus every pending flow start, timer,
-    /// housekeeping and fluid-completion event. Computed from counters
-    /// that are identical across delivery modes, so its peak is
-    /// digest-stable (`fluid_events_pending` is zero under packet
-    /// fidelity).
+    /// The FEL occupancy bound: at most one `TxDone` per port, one
+    /// `Arrive` per arena slot, plus every pending flow start, timer,
+    /// housekeeping and fluid-completion event (`fluid_events_pending` is
+    /// zero under packet fidelity).
     #[inline]
     fn fel_bound(&self) -> u64 {
-        2 * self.ports.len() as u64
+        self.ports.len() as u64
+            + self.arena.live() as u64
             + self.starts_pending
             + self.timers_live
             + self.misc_pending
@@ -1076,17 +1027,12 @@ impl<'a> Net<'a> {
             self.fel_depth.push(self.q.len() as f64);
             let bound = self.fel_bound();
             self.fel_bound_peak = self.fel_bound_peak.max(bound);
-            // The occupancy oracle: pipelined delivery must keep the
-            // FEL within the fabric-sized bound. A shard replica is
-            // exempt: cross-shard handoffs arrive as per-packet events,
-            // which the pipelined bound deliberately excludes.
-            if self.cfg.audit
-                && self.cfg.delivery == DeliveryKind::Pipelined
-                && self.shard.is_none()
-            {
+            // The occupancy oracle: every pending event is accounted for
+            // by one of the bound's terms, in shard replicas too.
+            if self.cfg.audit {
                 assert!(
                     self.q.len() as u64 <= bound,
-                    "FEL occupancy {} exceeds the pipelined bound {bound}",
+                    "FEL occupancy {} exceeds the bound {bound}",
                     self.q.len(),
                 );
             }
@@ -1098,7 +1044,6 @@ impl<'a> Net<'a> {
                 self.on_flow_start(i, now);
             }
             Event::TxDone(p) => self.on_tx_done(p, now),
-            Event::Deliver(p) => self.on_deliver(p, now),
             Event::Arrive { port, slot } => {
                 let pkt = self.arena.take(slot);
                 self.arrive_seen += 1;
@@ -1286,41 +1231,7 @@ impl<'a> Net<'a> {
         let down = self.pmap.rev[up as usize];
         change(&mut self.ports[up as usize]);
         change(&mut self.ports[down as usize]);
-        if self.cfg.delivery == DeliveryKind::Pipelined {
-            self.refit_pipe(up as usize);
-            self.refit_pipe(down as usize);
-        }
         (up, down)
-    }
-
-    /// Safety net behind the build-time schedule-aware pipe sizing: after
-    /// a link change, make sure the port's delivery pipe can still hold
-    /// its worst-case in-flight count. Build sizing replays the whole
-    /// schedule, so this normally never grows; if it ever does, the
-    /// growth happens deterministically at the event itself and is
-    /// measured out of the steady-state allocation gate (the audit
-    /// invariant covers the per-packet paths, not a sanctioned
-    /// reconfiguration).
-    fn refit_pipe(&mut self, pi: usize) {
-        let min_wire = self.cfg.tcp.header_bytes.max(1) as u64;
-        let tx = self.ports[pi].tx_time(min_wire).as_nanos().max(1);
-        let prop = self.ports[pi].link().prop_delay.as_nanos();
-        let needed = ((prop / tx + 2).min(4096)) as usize;
-        let pipe = &mut self.pipes[pi];
-        if pipe.capacity() < needed {
-            let before = alloc_audit::counters();
-            let len = pipe.len();
-            pipe.reserve(needed - len);
-            if let Some(base) = self.alloc_at_warmup.as_mut() {
-                // Shift the warmup baseline forward by the resize delta so
-                // the audited window excludes this growth.
-                let d = before.delta(alloc_audit::counters());
-                base.allocs += d.allocs;
-                base.reallocs += d.reallocs;
-                base.deallocs += d.deallocs;
-                base.bytes += d.bytes;
-            }
-        }
     }
 
     /// Apply the `i`-th configured failure/repair: flip the admin state
@@ -1525,57 +1436,22 @@ impl<'a> Net<'a> {
         if let Some(ctx) = self.shard.as_mut() {
             if ctx.map.arrive_owner[pi] != ctx.id {
                 // The next hop lives in another shard: hand the packet
-                // off as a message; the owner schedules the `Arrive`
-                // (see [`Net::inject_arrival`]). Always per-packet, even
-                // in pipelined mode — the shared ordering class keeps the
-                // merged schedule identical.
+                // off as a message; the owner schedules the arrival.
                 ctx.outbox.push(sharded::XMsg { port: p, at, pkt });
                 return;
             }
         }
-        match self.cfg.delivery {
-            DeliveryKind::Pipelined => {
-                // Reserve the seq a per-packet `Arrive` push would have
-                // taken right here, so the FEL's (time, seq) order — and
-                // every downstream observable — matches the reference
-                // mode bit-for-bit. Only the pipe head keeps a live FEL
-                // event; successors chain when it pops.
-                let seq = self.q.reserve_seq();
-                let pipe = &mut self.pipes[pi];
-                if pipe.is_empty() {
-                    self.q
-                        .push_reserved_keyed(at, key_of(2, p), seq, Event::Deliver(p));
-                }
-                pipe.push_back(PipeEntry { at, seq, pkt });
-            }
-            DeliveryKind::PerPacket => {
-                let slot = self.arena.insert(pkt);
-                self.q
-                    .push_keyed(at, key_of(2, p), Event::Arrive { port: p, slot });
-            }
-        }
+        self.schedule_arrival(p, at, pkt);
     }
 
-    /// Pipelined delivery: the head of `p`'s pipe arrives now. Re-arm the
-    /// chain for the next in-flight packet, then hand the packet to the
-    /// arrival logic.
-    fn on_deliver(&mut self, p: PortId, now: SimTime) {
-        let entry = self.pipes[p as usize]
-            .pop_front()
-            .expect("Deliver on an empty pipe");
-        debug_assert_eq!(entry.at, now, "pipe head out of FIFO order");
-        if let Some(front) = self.pipes[p as usize].front() {
-            let (at, seq) = (front.at, front.seq);
-            self.q
-                .push_reserved_keyed(at, key_of(2, p), seq, Event::Deliver(p));
-        }
-        self.arrive_seen += 1;
-        if self.cfg.fault_drop_nth == Some(self.arrive_seen) {
-            // Injected driver bug (audit tests only): the packet vanishes
-            // without any accounting layer hearing of it.
-            return;
-        }
-        self.on_arrive(p, entry.pkt, now);
+    /// Park `pkt` in the arena and schedule its arrival at `at` after
+    /// crossing `port`'s link — the one arrival path. A cross-shard
+    /// handoff lands here on the receiving shard; the `Arrive` is keyed by
+    /// the transmitting port either way, so the merged `(time, key, seq)`
+    /// schedule equals a serial run's.
+    fn schedule_arrival(&mut self, port: PortId, at: SimTime, pkt: Packet) {
+        let slot = self.arena.insert(pkt);
+        push_ev(&mut self.q, at, Event::Arrive { port, slot });
     }
 
     /// A packet finished crossing port `p`'s link.
@@ -2094,18 +1970,6 @@ impl<'a> Net<'a> {
 
     // ---- sharded-engine plumbing (see `sharded`) ---------------------
 
-    /// Receive a cross-shard handoff: park the packet and schedule its
-    /// arrival, exactly as the per-packet delivery path would have on the
-    /// sending side. `Arrive` and `Deliver` share ordering class 2 on the
-    /// transmitting port, so the merged `(time, key, seq)` schedule is
-    /// unchanged relative to a serial run in either delivery mode.
-    fn inject_arrival(&mut self, port: PortId, at: SimTime, pkt: Packet) {
-        debug_assert!(self.shard.is_some());
-        let slot = self.arena.insert(pkt);
-        self.q
-            .push_keyed(at, key_of(2, port), Event::Arrive { port, slot });
-    }
-
     /// Fold one shard replica into this one (the coordinator folds every
     /// shard into shard 0, then calls [`Net::into_report`] on the result).
     /// Entities move wholesale to their owner; counters add; peaks max;
@@ -2123,7 +1987,6 @@ impl<'a> Net<'a> {
         for pi in 0..self.ports.len() {
             if map.port_owner[pi] == oid {
                 std::mem::swap(&mut self.ports[pi], &mut other.ports[pi]);
-                std::mem::swap(&mut self.pipes[pi], &mut other.pipes[pi]);
                 self.link_fifo[pi] = other.link_fifo[pi];
             }
         }
@@ -2172,8 +2035,7 @@ impl<'a> Net<'a> {
             .absorb_monotonicity_violations(other.q.monotonicity_violations());
         // Residual in-flight packets (end-of-run leftovers in the other
         // shard's FEL) feed the merged ledger; queued/in-service residuals
-        // ride the moved ports and pipe residuals the moved pipes, both
-        // scanned later by `finish_audit`.
+        // ride the moved ports, scanned later by `finish_audit`.
         let end = other.q.now();
         for (_, ev) in other.q.drain_unordered() {
             if let Event::Arrive { slot, .. } = ev {
@@ -2322,9 +2184,8 @@ impl<'a> Net<'a> {
     }
 
     /// Close the packet-conservation ledger: feed it the end-of-run
-    /// residuals (queued packets, pending serializations and propagations
-    /// — the latter live in the FEL in per-packet mode and in the link
-    /// pipes in pipelined mode), per-port accounting snapshots, the
+    /// residuals (queued packets, pending serializations, and propagations
+    /// still in the FEL), per-port accounting snapshots, the
     /// engine's clock counter, and each live sender's invariant check,
     /// then let it verify everything (see [`crate::audit`]). Drains the
     /// event queue; call only from [`Net::into_report`].
@@ -2377,7 +2238,6 @@ impl<'a> Net<'a> {
             for pkt in p.iter_queued() {
                 ledger.residual_queued(pkt);
             }
-            // Both delivery modes park the serializing packet in the port.
             if let Some(pkt) = p.in_service_pkt() {
                 ledger.residual_in_service(pkt);
             }
@@ -2399,14 +2259,6 @@ impl<'a> Net<'a> {
             "{} arena slots leaked past the FEL drain",
             self.arena.live()
         );
-        // Pipelined mode: in-flight packets live in the link pipes (at
-        // most one of them also has a `Deliver` event above, which carries
-        // no packet — no double counting).
-        for pipe in &self.pipes {
-            for e in pipe {
-                ledger.residual_propagating(&e.pkt);
-            }
-        }
 
         let mut senders_checked = 0;
         let mut sender_violations: Vec<(usize, String)> = Vec::new();

@@ -397,7 +397,8 @@ fn lookahead(cfg: &SimConfig, pmap: &PortMap, map: &ShardMap) -> SimTime {
         let mut prop = props_of(p).prop_delay;
         min = min.min(prop);
         // Replay this link's event schedule exactly like the serial
-        // engine's pipe sizing does, tracking the smallest delay reached.
+        // engine's in-flight sizing does, tracking the smallest delay
+        // reached.
         let mut evs: Vec<&crate::config::LinkEvent> = cfg
             .link_events
             .iter()
@@ -523,7 +524,7 @@ impl<'n, 'a> Run<'n, 'a> {
             std::mem::take(&mut ib.msgs)
         };
         for m in msgs {
-            net.inject_arrival(m.port, m.at, m.pkt);
+            net.schedule_arrival(m.port, m.at, m.pkt);
         }
         net.run_window(end, self.horizon);
         self.route_outbox(&mut net, scratch);
@@ -630,7 +631,7 @@ impl<'n, 'a> Run<'n, 'a> {
             ib.min_at = u64::MAX;
             let mut net = self.nets[s].lock().unwrap();
             for m in ib.msgs.drain(..) {
-                net.inject_arrival(m.port, m.at, m.pkt);
+                net.schedule_arrival(m.port, m.at, m.pkt);
             }
         }
     }
@@ -707,7 +708,7 @@ impl<'n, 'a> Run<'n, 'a> {
                         .expect("sharded net without ctx")
                         .map
                         .arrive_owner[m.port as usize] as usize;
-                    guards[target].inject_arrival(m.port, m.at, m.pkt);
+                    guards[target].schedule_arrival(m.port, m.at, m.pkt);
                 }
             }
         }

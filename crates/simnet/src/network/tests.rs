@@ -486,21 +486,20 @@ fn ooo_buffers_return_to_the_pool() {
 }
 
 #[test]
-fn per_packet_arena_drains_and_recycles() {
-    // In per-packet delivery every in-flight packet parks in the arena,
-    // and the slab must stabilize at the peak in-flight population rather
-    // than growing with the total packet count. Residual slots at loop
-    // exit belong to still-queued `Arrive` events; `finish_audit` drains
-    // them and debug-asserts the arena empties (exercised via
-    // `into_report` below, since the basic preset audits in debug builds).
-    let mut cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
-    cfg.delivery = crate::DeliveryKind::PerPacket;
+fn packet_arena_drains_and_recycles() {
+    // Every in-flight packet parks in the arena, and the slab must
+    // stabilize at the peak in-flight population rather than growing with
+    // the total packet count. Residual slots at loop exit belong to
+    // still-queued `Arrive` events; `finish_audit` drains them and
+    // debug-asserts the arena empties (exercised via `into_report` below,
+    // since the basic preset audits in debug builds).
+    let cfg = crate::SimConfig::basic_paper(Scheme::Ecmp);
     let flows = one_flow(500 * 1460);
     let mut net = Net::build(&cfg, &flows, vec![None; 1], None);
     net.run_loop();
     assert_eq!(net.n_completed, 1);
     let slots = net.arena.slots_allocated();
-    assert!(slots > 0, "per-packet mode must actually use the arena");
+    assert!(slots > 0, "in-flight packets must actually use the arena");
     assert!(
         slots < 500,
         "slab grew to {slots} slots for a 500-segment flow — recycling broke"

@@ -215,16 +215,18 @@ pub struct RunReport {
     /// Per-hop queueing delay of short-flow data (seconds) — Fig. 8(b).
     pub short_qdelay: SampleSet,
     /// Pending-event count of the engine's future-event list, sampled once
-    /// every 4096 processed events. The sampling schedule is a pure
-    /// function of the event count, so the samples are bit-identical
-    /// across FEL backends and thread counts; `perfbench` reads its
-    /// queue-depth quantiles (p50/p99) from here.
+    /// every 4096 processed events. Every packet in flight is one pending
+    /// `Arrive`, so the depth grows with the fabric's bandwidth-delay
+    /// product. The sampling schedule is a pure function of the event
+    /// count, so the samples are bit-identical across thread counts;
+    /// `perfbench` reads its queue-depth quantiles (p50/p99) from here.
     pub fel_depth: SampleSet,
-    /// Peak of the pipelined-delivery FEL occupancy bound
-    /// `2·ports + pending starts/timers/housekeeping` over the same sample
-    /// schedule. Computed from mode-independent counters, so it is
-    /// digest-stable; in pipelined delivery every `fel_depth` sample is
-    /// asserted ≤ the bound whenever the audit is on.
+    /// Peak of the FEL occupancy bound `ports + packets in flight +
+    /// pending starts/timers/housekeeping/fluid completions` over the same
+    /// sample schedule: one `TxDone` per port and one `Arrive` per arena
+    /// slot bound the packet events. Whenever the audit is on, every
+    /// `fel_depth` sample is asserted ≤ the bound at the moment it is
+    /// taken.
     pub fel_bound_peak: u64,
     /// Instantaneous reorder ratio of short flows over time — Fig. 8(a).
     pub short_reorder_series: Vec<(f64, f64)>,

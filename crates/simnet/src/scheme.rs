@@ -1,11 +1,11 @@
 //! The registry of load-balancing schemes a simulation can run.
 
+use crate::AnyLb;
 use tlb_core::{Tlb, TlbConfig};
 use tlb_engine::SimTime;
 use tlb_lb::{
     CongaLite, DiffFlow, Drill, Ecmp, FlowBender, HermesLite, LetFlow, Presto, Rps, Wcmp,
 };
-use tlb_switch::LoadBalancer;
 
 /// A load-balancing scheme plus its parameters. One balancer instance is
 /// built per leaf switch.
@@ -158,21 +158,21 @@ impl Scheme {
         ]
     }
 
-    /// Instantiate a balancer for one leaf switch. `salt` decorrelates
+    /// Instantiate a balancer for one LB switch. `salt` decorrelates
     /// hash-based schemes across switches.
-    pub fn build(&self, salt: u64) -> Box<dyn LoadBalancer> {
+    pub fn build(&self, salt: u64) -> AnyLb {
         match self {
-            Scheme::Ecmp => Box::new(Ecmp::new(salt)),
-            Scheme::Rps => Box::new(Rps::new()),
-            Scheme::Presto { cell_bytes } => Box::new(Presto::new(*cell_bytes)),
-            Scheme::LetFlow { timeout } => Box::new(LetFlow::new(*timeout)),
-            Scheme::Drill { d, m } => Box::new(Drill::new(*d, *m)),
-            Scheme::CongaLite { timeout } => Box::new(CongaLite::new(*timeout)),
+            Scheme::Ecmp => AnyLb::Ecmp(Ecmp::new(salt)),
+            Scheme::Rps => AnyLb::Rps(Rps::new()),
+            Scheme::Presto { cell_bytes } => AnyLb::Presto(Presto::new(*cell_bytes)),
+            Scheme::LetFlow { timeout } => AnyLb::LetFlow(LetFlow::new(*timeout)),
+            Scheme::Drill { d, m } => AnyLb::Drill(Drill::new(*d, *m)),
+            Scheme::CongaLite { timeout } => AnyLb::CongaLite(CongaLite::new(*timeout)),
             Scheme::FlowBender {
                 mark_threshold_pkts,
                 frac_threshold,
                 window_pkts,
-            } => Box::new(FlowBender::new(
+            } => AnyLb::FlowBender(FlowBender::new(
                 *mark_threshold_pkts,
                 *frac_threshold,
                 *window_pkts,
@@ -181,14 +181,16 @@ impl Scheme {
                 reroute_size_bytes,
                 congested_pkts,
                 benefit_factor,
-            } => Box::new(HermesLite::new(
+            } => AnyLb::Hermes(HermesLite::new(
                 *reroute_size_bytes,
                 *congested_pkts,
                 *benefit_factor,
             )),
-            Scheme::Wcmp => Box::new(Wcmp::new()),
-            Scheme::DiffFlow { threshold_bytes } => Box::new(DiffFlow::new(*threshold_bytes)),
-            Scheme::Tlb(cfg) => Box::new(Tlb::new(*cfg)),
+            Scheme::Wcmp => AnyLb::Wcmp(Wcmp::new()),
+            Scheme::DiffFlow { threshold_bytes } => {
+                AnyLb::DiffFlow(DiffFlow::new(*threshold_bytes))
+            }
+            Scheme::Tlb(cfg) => AnyLb::Tlb(Box::new(Tlb::new(*cfg))),
         }
     }
 }
@@ -199,6 +201,7 @@ mod proptests;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tlb_switch::LoadBalancer;
 
     #[test]
     fn names_match_paper_legends() {

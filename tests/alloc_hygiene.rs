@@ -1,8 +1,7 @@
 //! Allocation hygiene: after warmup, the simulator's per-packet steady
 //! state performs ZERO heap acquisitions — no allocations, no Vec
-//! regrowth — across both delivery modes, both LB dispatch paths and both
-//! FEL backends, on a fig10-shaped production job and on the fuzzer's
-//! 16-job differential batch.
+//! regrowth — on a fig10-shaped production job, on a 10 Gb/s fabric whose
+//! links change mid-window, and on the fuzzer's 16-job batch.
 //!
 //! This binary installs [`tlb::engine::CountingAlloc`] as the global
 //! allocator; the simulator snapshots the process-wide counters at the
@@ -20,7 +19,7 @@
 //! doubling, balancer flow tables — must have reached steady state by
 //! mid-run.
 
-use tlb::engine::{alloc_audit, CountingAlloc, FelKind};
+use tlb::engine::{alloc_audit, CountingAlloc};
 use tlb::prelude::*;
 
 #[global_allocator]
@@ -86,32 +85,21 @@ fn steady_state_is_allocation_free() {
         "this binary must install the counting allocator"
     );
 
-    // --- fig10-shaped job, all 2x2x2 delivery/dispatch/FEL combos -------
-    let (cfg0, flows0) = fig10_job();
-    let e = learn_events(cfg0.clone(), flows0.clone());
+    // --- fig10-shaped job ------------------------------------------------
+    let (cfg, flows) = fig10_job();
+    let e = learn_events(cfg.clone(), flows.clone());
     assert!(e > 100_000, "job too small for a steady state: {e} events");
-    for delivery in [DeliveryKind::Pipelined, DeliveryKind::PerPacket] {
-        for dispatch in [LbDispatch::Enum, LbDispatch::Dyn] {
-            for fel in [FelKind::Calendar, FelKind::Heap] {
-                let mut cfg = cfg0.clone();
-                cfg.delivery = delivery;
-                cfg.lb_dispatch = dispatch;
-                cfg.fel = fel;
-                let r = audited(cfg, flows0.clone(), e / 2);
-                assert_eq!(r.events, e, "combo changed the event count");
-                assert_zero_alloc(&r, &format!("fig10 {delivery:?}/{dispatch:?}/{fel:?}"));
-            }
-        }
-    }
+    let r = audited(cfg, flows, e / 2);
+    assert_eq!(r.events, e, "the audit window changed the event count");
+    assert_zero_alloc(&r, "fig10");
 
-    // --- mid-audit flap on a 10 Gb/s link: pipe-capacity regression ------
+    // --- mid-audit flap on a 10 Gb/s link: in-flight sizing regression ---
     // Two stacked LinkEvents land INSIDE the audit window on one 10 Gb/s
     // uplink: a bandwidth improvement (shorter tx time) plus extra
     // propagation delay, each growing the worst-case number of packets in
-    // flight on the wire. Before build-time pipe sizing replayed the
-    // link-event schedule, the pipelined delivery pipe's ring buffer grew
-    // mid-window and the realloc tripped the gate; `refit_pipe` also
-    // shifts the warmup baseline if growth ever does happen at the event.
+    // flight on the wire. Nothing may grow mid-window: the FEL and the
+    // packet arena are sized at build from the in-flight bound of every
+    // link's whole event schedule.
     {
         let dist = web_search();
         let mut cfg = SimConfig::basic_paper(Scheme::tlb_default());
@@ -120,7 +108,6 @@ fn steady_state_is_allocation_free() {
             .target_rtt(SimTime::from_micros(100))
             .build()
             .into();
-        cfg.delivery = DeliveryKind::Pipelined;
         for (at_us, extra_us) in [(1_300, 150), (1_600, 150)] {
             cfg.link_events.push(tlb::simnet::LinkEvent {
                 at: SimTime::from_micros(at_us),
@@ -143,16 +130,12 @@ fn steady_state_is_allocation_free() {
         let flows = wl.generate(&cfg.topo, &mut SimRng::new(77));
         let e = learn_events(cfg.clone(), flows.clone());
         assert!(e > 100_000, "flap job too small for a steady state: {e}");
-        for fel in [FelKind::Calendar, FelKind::Heap] {
-            let mut c = cfg.clone();
-            c.fel = fel;
-            let r = audited(c, flows.clone(), e / 2);
-            assert_eq!(r.events, e, "FEL backend changed the event count");
-            assert_zero_alloc(&r, &format!("10G mid-audit flap {fel:?}"));
-        }
+        let r = audited(cfg, flows, e / 2);
+        assert_eq!(r.events, e, "the audit window changed the event count");
+        assert_zero_alloc(&r, "10G mid-audit flap");
     }
 
-    // --- the fuzzer's 16-job differential batch, run serially ------------
+    // --- the fuzzer's 16-job batch, run serially -------------------------
     // Same raw tuples as tests/determinism.rs: they span schemes, incast,
     // and static + mid-run degradation.
     let raws: [tlb_fuzz::RawScenario; 4] = [

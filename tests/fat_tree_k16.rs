@@ -4,11 +4,12 @@
 //! suite scales the same machinery to the 1024-host, 320-switch k=16
 //! pod fabric and checks the things that tend to break first at scale:
 //! every flow completes, the conservation audit closes its books, and
-//! reruns are bit-identical (digest stability). A hybrid-fidelity leg
+//! reruns and the sharded engine reproduce the serial digests. A
+//! hybrid-fidelity leg
 //! rides along so the fluid tier's multi-hop fat-tree routing (edge →
 //! agg → core → agg → edge) gets coverage on the deepest path shape.
 
-use tlb::engine::FelKind;
+use tlb::engine::EngineKind;
 use tlb::prelude::*;
 
 fn digest(r: &RunReport) -> (u64, String, u64, u64, usize, usize) {
@@ -34,8 +35,13 @@ fn k16_cfg(scheme: Scheme) -> SimConfig {
 }
 
 fn k16_run(scheme: Scheme, fidelity: FidelityKind, seed: u64) -> RunReport {
+    k16_run_on(scheme, fidelity, seed, EngineKind::Serial)
+}
+
+fn k16_run_on(scheme: Scheme, fidelity: FidelityKind, seed: u64, engine: EngineKind) -> RunReport {
     let mut cfg = k16_cfg(scheme);
     cfg.fidelity = fidelity;
+    cfg.engine = engine;
     let mut mix = BasicMixConfig::paper_default();
     mix.n_short = 80;
     mix.n_long = 4;
@@ -65,19 +71,21 @@ fn k16_digests_are_stable_across_reruns_and_backends() {
     let rerun = k16_run(Scheme::tlb_default(), FidelityKind::Packet, 16);
     assert_eq!(digest(&base), digest(&rerun), "k=16 rerun diverged");
 
-    // The differential backends must agree at this scale too.
-    for fel in [FelKind::Calendar, FelKind::Heap] {
-        let mut cfg = k16_cfg(Scheme::tlb_default());
-        cfg.fel = fel;
-        let mut mix = BasicMixConfig::paper_default();
-        mix.n_short = 80;
-        mix.n_long = 4;
-        mix.long_lo = 1_000_000;
-        mix.long_hi = 2_000_000;
-        let flows = basic_mix(&cfg.topo, &mix, &mut SimRng::new(16));
-        let r = Simulation::new(cfg, flows).run();
-        assert_eq!(digest(&r), digest(&base), "{fel:?} diverged on k=16");
-    }
+    // The sharded engine must reproduce the serial digest at this scale
+    // too (the absolute digest is pinned in `tests/golden.rs`).
+    let sharded = k16_run_on(
+        Scheme::tlb_default(),
+        FidelityKind::Packet,
+        16,
+        EngineKind::Sharded { workers: Some(2) },
+    );
+    assert_eq!(
+        sharded.engine_workers,
+        Some(2),
+        "k=16 sharded run fell back"
+    );
+    assert_eq!(digest(&sharded), digest(&base), "k=16 sharded run diverged");
+    assert_eq!(sharded.audit, base.audit, "k=16 sharded audit diverged");
 }
 
 #[test]

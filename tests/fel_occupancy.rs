@@ -1,12 +1,14 @@
-//! The pipelined-delivery FEL bound on a high-BDP fabric.
+//! The FEL occupancy bound on a high-BDP fabric.
 //!
-//! Long fat links are where per-packet `Arrive` events hurt: every packet
-//! in flight is an FEL entry, so occupancy scales with the
-//! bandwidth-delay product. The per-link delivery pipes cap it at
-//! O(ports + pending timers/starts) regardless of BDP — this test builds a
-//! 10 Gbit/s fabric with 500 µs per-link propagation (≈ 2 ms RTT across
-//! the spine, a multi-megabyte BDP), runs both delivery modes, and checks
-//! that the pipelined run is bit-identical yet bounded.
+//! Long fat links are where the future-event list grows: every packet in
+//! flight is one pending `Arrive`, so occupancy scales with the
+//! bandwidth-delay product. The bound `ports + packets in flight +
+//! pending starts/timers/housekeeping` accounts for every pending event —
+//! one `TxDone` per port, one `Arrive` per packet-arena slot — and the run
+//! loop asserts it at every depth sample while the audit is on. This test
+//! builds a 10 Gbit/s fabric with 500 µs per-link propagation (≈ 2 ms RTT
+//! across the spine, a multi-megabyte BDP) and checks that the bound held
+//! and was exercised by a BDP-sized event list.
 
 use tlb::prelude::*;
 
@@ -47,59 +49,35 @@ fn high_bdp_job(scheme: Scheme, seed: u64) -> (SimConfig, Vec<FlowSpec>) {
     (cfg, flows)
 }
 
-fn digest(r: &RunReport) -> (u64, String, u64, u64, usize) {
-    (
-        r.events,
-        format!("{:.12}/{:.12}", r.fct_short.afct, r.fct_long.mean_goodput),
-        r.drops,
-        r.marks,
-        r.completed,
-    )
-}
-
 #[test]
-fn pipelined_delivery_bounds_fel_depth_on_high_bdp_links() {
+fn fel_depth_stays_within_the_occupancy_bound_on_high_bdp_links() {
+    // 16 host NICs + 2 leaves × (4 up + 8 down) + 4 spines × 2 down.
+    const PORTS: f64 = 48.0;
     for scheme in [Scheme::Rps, Scheme::tlb_default()] {
         let name = scheme.name();
-        let (mut cfg, flows) = high_bdp_job(scheme, 11);
-        cfg.delivery = DeliveryKind::Pipelined;
-        let piped = run_one_ref(&cfg, &flows);
-        cfg.delivery = DeliveryKind::PerPacket;
-        let reference = run_one_ref(&cfg, &flows);
+        let (cfg, flows) = high_bdp_job(scheme, 11);
+        let r = run_one_ref(&cfg, &flows);
+        assert!(
+            r.audit.is_some(),
+            "{name}: the audit (and oracle) did not run"
+        );
+        assert!(r.fel_depth.len() > 10, "{name}: too few depth samples");
 
-        // Same physics, same results — only the FEL residency differs.
-        assert_eq!(digest(&piped), digest(&reference), "{name}: modes diverged");
-        assert_eq!(piped.audit, reference.audit, "{name}: audit diverged");
-        assert_eq!(
-            piped.fel_bound_peak, reference.fel_bound_peak,
-            "{name}: occupancy bound must be mode-independent"
+        // The bound itself: every occupancy sample stays within it. (The
+        // run loop asserts this per sample; the report-level check keeps
+        // it visible to integration callers.)
+        let max = r.fel_depth.max();
+        assert!(
+            max <= r.fel_bound_peak as f64,
+            "{name}: FEL depth {max} exceeds bound {}",
+            r.fel_bound_peak
         );
 
-        // The bound itself: every pipelined occupancy sample stays within
-        // ports + links' worth of events plus pending timers/starts. (The
-        // run loop also asserts this per sample when the audit is on; the
-        // report-level check keeps it visible to integration callers.)
-        let piped_max = piped.fel_depth.max();
-        assert!(piped.fel_depth.len() > 10, "{name}: too few depth samples");
+        // And the scenario is BDP-bound: packets in flight, not the
+        // fabric's per-port events, dominate the event list.
         assert!(
-            piped_max <= piped.fel_bound_peak as f64,
-            "{name}: pipelined FEL depth {piped_max} exceeds bound {}",
-            piped.fel_bound_peak
-        );
-
-        // And it must matter: on a multi-megabyte BDP the per-packet
-        // reference keeps an event per in-flight packet, far above the
-        // fabric-sized bound the pipelined mode respects.
-        let ref_max = reference.fel_depth.max();
-        assert!(
-            ref_max > piped.fel_bound_peak as f64,
-            "{name}: scenario is not BDP-bound (per-packet max {ref_max} \
-             within bound {})",
-            piped.fel_bound_peak
-        );
-        assert!(
-            piped_max * 2.0 < ref_max,
-            "{name}: expected ≥2× FEL-depth reduction, got {piped_max} vs {ref_max}"
+            max > 10.0 * PORTS,
+            "{name}: FEL depth {max} is not BDP-bound"
         );
     }
 }
