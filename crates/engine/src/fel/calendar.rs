@@ -8,12 +8,26 @@
 //! `now` for bucketing only — their sort key is untouched). The wheel holds
 //! the next `nb` slots as `nb` physical buckets (`slot & (nb-1)`); anything
 //! at or past `slot(now) + nb` waits in the overflow heap and is promoted
-//! into the wheel as the clock advances. With the default geometry
-//! (512 ns × 4096 ≈ 2.1 ms) the wheel window comfortably covers
-//! link-serialization, propagation and LB-tick horizons, while RTO timers
-//! (≥ 10 ms) and not-yet-started flows ride the overflow tier — senders
-//! keep at most one pending timer each, so overflow traffic is rare and its
-//! `O(log n)` cost immaterial.
+//! into the wheel as the clock advances.
+//!
+//! # Geometry
+//!
+//! The wheel only has to hold the packet path: a simulator hop schedules
+//! its `TxDone` at most one serialization time ahead and its `Arrive` at
+//! most one propagation delay ahead. [`CalendarFel::for_lookahead`] sizes
+//! the wheel to twice that per-hop look-ahead in 512 ns buckets, rounded up
+//! to a power of two and clamped to `[64, 4096]` buckets
+//! ([`buckets_for_lookahead`]). A wider wheel buys nothing — its buckets
+//! are revisited only once per rotation, so each pop touches a cold cache
+//! line, and a 4096-bucket wheel pre-reserves ≥ 4 MiB per queue. On the
+//! paper's 1 Gbit/s leaf-spine fabric (12.5 µs per hop) that is 64 buckets
+//! (33 µs); a 250 µs high-BDP link gets 1024 (524 µs). Timers, flow starts,
+//! balancer ticks and fluid completions ride the overflow tier — senders
+//! keep at most one pending timer each, so overflow traffic is light:
+//! under 0.2 % of pushes on the leaf-spine benchmark fabrics, 8 % on a
+//! k=16 fat tree whose 256 balancers tick every 500 µs
+//! ([`CalendarFel::overflow_pushes`] counts it). The default geometry
+//! ([`CalendarFel::new`], 512 ns × 4096 ≈ 2.1 ms) is the upper clamp.
 //!
 //! The minimum bucket is held *activated*: its entries live in `active`,
 //! sorted **descending** by `(time, key, seq)` so `Vec::pop` yields the minimum
@@ -52,8 +66,22 @@ use std::collections::BinaryHeap;
 /// Default bucket width: `2^9` = 512 ns.
 pub const DEFAULT_SHIFT: u32 = 9;
 /// Default wheel size (buckets); with [`DEFAULT_SHIFT`] the wheel spans
-/// ~2.1 ms.
+/// ~2.1 ms. Also the most buckets [`buckets_for_lookahead`] ever picks.
 pub const DEFAULT_BUCKETS: usize = 4096;
+/// Fewest buckets a wheel may have (one occupancy-bitmap word).
+pub const MIN_BUCKETS: usize = 64;
+
+/// Wheel size for a schedule whose near-future pushes land at most
+/// `lookahead` past the clock: enough [`DEFAULT_SHIFT`]-wide buckets to
+/// span `2 × lookahead`, rounded up to a power of two and clamped to
+/// `[MIN_BUCKETS, DEFAULT_BUCKETS]`.
+pub fn buckets_for_lookahead(lookahead: SimTime) -> usize {
+    let span = lookahead.as_nanos().saturating_mul(2);
+    let nb = span
+        .div_ceil(1 << DEFAULT_SHIFT)
+        .min(DEFAULT_BUCKETS as u64) as usize;
+    nb.next_power_of_two().max(MIN_BUCKETS)
+}
 
 /// A two-tier calendar-queue FEL. See the module docs for the design.
 pub struct CalendarFel<E> {
@@ -75,6 +103,8 @@ pub struct CalendarFel<E> {
     wheel_len: usize,
     /// Far-future tier (`Entry`'s reversed `Ord` makes this a min-queue).
     overflow: BinaryHeap<Entry<E>>,
+    /// Inserts that landed in the overflow tier.
+    pub(crate) overflow_pushes: u64,
 }
 
 impl<E> CalendarFel<E> {
@@ -83,20 +113,35 @@ impl<E> CalendarFel<E> {
         Self::with_geometry(DEFAULT_SHIFT, DEFAULT_BUCKETS)
     }
 
-    /// Per-bucket capacity pre-warmed by [`CalendarFel::with_capacity`].
-    /// Steady-state bucket depth in simulation runs stays in the single
-    /// digits (events inside one 512 ns slot); without the pre-warm, the
-    /// long tail of buckets hitting their all-time depth peak keeps
-    /// doubling 4→8→16-entry vectors for the whole run, which the
-    /// zero-allocation steady-state gate rejects. 32 entries × 32 bytes ×
-    /// 4096 buckets ≈ 4 MB per queue — noise next to the run's metrics.
+    /// Per-bucket capacity pre-warmed by [`CalendarFel::with_capacity`]
+    /// and [`CalendarFel::for_lookahead`]. Steady-state bucket depth in
+    /// simulation runs stays in the single digits (events inside one
+    /// 512 ns slot); without the pre-warm, the long tail of buckets hitting
+    /// their all-time depth peak keeps doubling 4→8→16-entry vectors for
+    /// the whole run, which the zero-allocation steady-state gate rejects.
+    /// The reserve costs 1 KiB per bucket of 32-byte entries: 4 MiB on a
+    /// default 4096-bucket wheel — measurably more resident memory and
+    /// cache traffic than the 64 KiB of a 64-bucket fabric-sized wheel.
     const BUCKET_RESERVE: usize = 32;
 
-    /// An empty queue with room reserved in the overflow tier — build-time
-    /// bulk pushes (all flow-start events of a run) land there — and every
-    /// wheel bucket pre-warmed to [`Self::BUCKET_RESERVE`] entries.
+    /// An empty default-geometry queue with room reserved in the overflow
+    /// tier — build-time bulk pushes (all flow-start events of a run) land
+    /// there — and every wheel bucket pre-warmed to
+    /// [`Self::BUCKET_RESERVE`] entries.
     pub fn with_capacity(cap: usize) -> CalendarFel<E> {
-        let mut q = Self::new();
+        Self::reserved(DEFAULT_BUCKETS, cap)
+    }
+
+    /// Like [`CalendarFel::with_capacity`], but with the wheel sized by
+    /// [`buckets_for_lookahead`] for a schedule whose near-future pushes
+    /// land at most `lookahead` past the clock. Pushes further out are
+    /// still correct; they ride the overflow tier.
+    pub fn for_lookahead(cap: usize, lookahead: SimTime) -> CalendarFel<E> {
+        Self::reserved(buckets_for_lookahead(lookahead), cap)
+    }
+
+    fn reserved(nb: usize, cap: usize) -> CalendarFel<E> {
+        let mut q = Self::with_geometry(DEFAULT_SHIFT, nb);
         q.overflow.reserve(cap);
         q.active.reserve(Self::BUCKET_RESERVE);
         for b in &mut q.buckets {
@@ -111,8 +156,8 @@ impl<E> CalendarFel<E> {
     /// [`CalendarFel::new`].
     pub fn with_geometry(shift: u32, nb: usize) -> CalendarFel<E> {
         assert!(
-            nb.is_power_of_two() && nb >= 64,
-            "wheel size {nb}: want a power of two >= 64"
+            nb.is_power_of_two() && nb >= MIN_BUCKETS,
+            "wheel size {nb}: want a power of two >= {MIN_BUCKETS}"
         );
         assert!(shift < 32, "bucket shift {shift} unreasonably large");
         CalendarFel {
@@ -125,7 +170,24 @@ impl<E> CalendarFel<E> {
             active_slot: 0,
             wheel_len: 0,
             overflow: BinaryHeap::new(),
+            overflow_pushes: 0,
         }
+    }
+
+    /// Physical bucket count of the wheel.
+    pub fn buckets(&self) -> usize {
+        self.nb
+    }
+
+    /// Width of one wheel bucket.
+    pub fn bucket_width(&self) -> SimTime {
+        SimTime::from_nanos(1 << self.shift)
+    }
+
+    /// Inserts that landed in the overflow tier so far (promotions back
+    /// into the wheel are not counted).
+    pub fn overflow_pushes(&self) -> u64 {
+        self.overflow_pushes
     }
 
     #[inline]
@@ -203,9 +265,55 @@ impl<E> CalendarFel<E> {
             // Promoted slots exceed every pre-existing wheel slot (tier
             // order), in particular `active_slot`: always a plain bucket.
             let p = (slot & self.mask) as usize;
+            self.make_room(Some(p));
             self.buckets[p].push(entry);
             self.set_bit(p);
             self.wheel_len += 1;
+        }
+    }
+
+    /// Called before a push into bucket `target` (`None`: the active
+    /// bucket). If that vector is full, trade it for the roomiest empty
+    /// vector — an empty bucket's, or the active one's while it is empty —
+    /// when that one is larger: the entries move over (no allocation — the
+    /// spare has room) and the small vector takes the spare's place.
+    /// Bursts that outgrow [`Self::BUCKET_RESERVE`] — every balancer's
+    /// tick at the same instant, a busy slot on a large fabric — thus
+    /// reuse the capacity an earlier burst grew wherever they land,
+    /// instead of growing each physical bucket in turn as vectors rotate
+    /// through the wheel. Rare (the vector is full), so the O(`nb`) scan
+    /// does not matter.
+    fn make_room(&mut self, target: Option<usize>) {
+        let full = self.vec_at(target);
+        if full.len() < full.capacity() {
+            return;
+        }
+        let mut best = None;
+        let mut best_cap = full.len();
+        let candidates = self.buckets.iter().enumerate().map(|(i, b)| (Some(i), b));
+        for (at, v) in candidates.chain(std::iter::once((None, &self.active))) {
+            if at != target && v.is_empty() && v.capacity() > best_cap {
+                best = Some(at);
+                best_cap = v.capacity();
+            }
+        }
+        let Some(spare_at) = best else {
+            return;
+        };
+        let mut spare = std::mem::take(self.vec_at_mut(spare_at));
+        spare.append(self.vec_at_mut(target));
+        std::mem::swap(self.vec_at_mut(target), &mut spare);
+        *self.vec_at_mut(spare_at) = spare;
+    }
+
+    fn vec_at(&self, at: Option<usize>) -> &Vec<Entry<E>> {
+        at.map_or(&self.active, |p| &self.buckets[p])
+    }
+
+    fn vec_at_mut(&mut self, at: Option<usize>) -> &mut Vec<Entry<E>> {
+        match at {
+            Some(p) => &mut self.buckets[p],
+            None => &mut self.active,
         }
     }
 }
@@ -227,6 +335,7 @@ impl<E> CalendarFel<E> {
         // keeps its original `(time, key, seq)` sort key.
         let slot = self.slot_of(entry.time.max(now));
         if slot >= self.slot_of(now) + self.nb as u64 {
+            self.overflow_pushes += 1;
             self.overflow.push(entry);
             return;
         }
@@ -240,12 +349,14 @@ impl<E> CalendarFel<E> {
                 let pos = self
                     .active
                     .partition_point(|e| (e.time, e.key, e.seq) > key);
+                self.make_room(None);
                 self.active.insert(pos, entry);
                 self.wheel_len += 1;
                 return;
             }
             if slot > self.active_slot {
                 let p = (slot & self.mask) as usize;
+                self.make_room(Some(p));
                 self.buckets[p].push(entry);
                 self.set_bit(p);
                 self.wheel_len += 1;
@@ -336,5 +447,65 @@ impl<E> CalendarFel<E> {
         out.extend(self.overflow.drain());
         self.wheel_len = 0;
         self.active_slot = 0;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn total_capacity<E>(q: &CalendarFel<E>) -> usize {
+        q.active.capacity() + q.buckets.iter().map(Vec::capacity).sum::<usize>()
+    }
+
+    #[test]
+    fn same_instant_bursts_reuse_grown_capacity() {
+        // 256 same-instant entries (every balancer's tick on a k=16 fat
+        // tree) every ~500 µs, drained in between, each burst in another
+        // physical bucket of a 64-bucket wheel. Even bursts arrive from the
+        // overflow tier (promotion path), odd ones are pushed just before
+        // they fall due (active-bucket path). Only the first may grow the
+        // wheel's storage; later bursts must borrow what it grew.
+        let mut q = CalendarFel::for_lookahead(0, SimTime::from_micros(12));
+        assert_eq!(q.buckets(), 64);
+        let (mut now, mut seq) = (SimTime::ZERO, 0u64);
+        let mut push = |q: &mut CalendarFel<()>, time: SimTime, key: u32, now: SimTime| {
+            q.insert(
+                Entry {
+                    time,
+                    key,
+                    seq,
+                    event: (),
+                },
+                now,
+            );
+            seq += 1;
+        };
+        let mut grown = None;
+        for burst in 0..40u64 {
+            let t = SimTime::from_micros(501 * (burst + 1));
+            if burst % 2 == 1 {
+                push(&mut q, t - SimTime::from_micros(1), u32::MAX, now);
+                now = q.remove_min().expect("marker").time;
+            }
+            for key in 0..256 {
+                push(&mut q, t, key, now);
+            }
+            let mut last = (SimTime::ZERO, 0);
+            while let Some(e) = q.remove_min() {
+                assert!((e.time, e.key) >= last, "pop order broke");
+                last = (e.time, e.key);
+                now = e.time;
+            }
+            if burst == 1 {
+                grown = Some(total_capacity(&q));
+            } else if burst > 1 {
+                assert_eq!(
+                    Some(total_capacity(&q)),
+                    grown,
+                    "burst {burst} grew a bucket"
+                );
+            }
+        }
     }
 }

@@ -52,6 +52,15 @@ impl<E> EventQueue<E> {
         Self::on(CalendarFel::with_capacity(cap))
     }
 
+    /// Like [`EventQueue::with_capacity`], but with the calendar wheel
+    /// sized for a schedule whose near-future pushes land at most
+    /// `lookahead` past the clock (see [`crate::fel::calendar`]'s
+    /// geometry notes): twice that span in 512 ns buckets, between 64 and
+    /// 4096 of them. The simulator passes its fabric's per-hop look-ahead.
+    pub fn for_lookahead(cap: usize, lookahead: SimTime) -> Self {
+        Self::on(CalendarFel::for_lookahead(cap, lookahead))
+    }
+
     /// A queue with explicit wheel geometry (`2^shift`-ns buckets, `nb` of
     /// them). Tiny wheels force heavy overflow/promotion churn; stress
     /// tests use this to exercise paths the default ~2 ms window rarely
@@ -159,11 +168,13 @@ impl<E> EventQueue<E> {
         self.now = self.now.max(t);
     }
 
-    /// Fold another queue's monotonicity-violation count into this one
-    /// (report merging across shard replicas).
+    /// Fold another queue's counters — monotonicity violations and
+    /// overflow pushes — into this one (report merging across shard
+    /// replicas).
     #[inline]
-    pub fn absorb_monotonicity_violations(&mut self, n: u64) {
-        self.monotonicity_violations += n;
+    pub fn absorb_counters(&mut self, other: &EventQueue<E>) {
+        self.monotonicity_violations += other.monotonicity_violations;
+        self.fel.overflow_pushes += other.fel.overflow_pushes;
     }
 
     /// Number of pending events.
@@ -176,6 +187,24 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.fel.is_empty()
+    }
+
+    /// Physical bucket count of the calendar wheel.
+    #[inline]
+    pub fn wheel_buckets(&self) -> usize {
+        self.fel.buckets()
+    }
+
+    /// Width of one calendar-wheel bucket.
+    #[inline]
+    pub fn bucket_width(&self) -> SimTime {
+        self.fel.bucket_width()
+    }
+
+    /// Pushes that landed beyond the wheel window, in the overflow tier.
+    #[inline]
+    pub fn overflow_pushes(&self) -> u64 {
+        self.fel.overflow_pushes()
     }
 
     /// Total number of events ever scheduled (diagnostics).
@@ -427,6 +456,48 @@ mod tests {
     }
 
     #[test]
+    fn lookahead_sizes_the_wheel_within_the_clamp() {
+        use crate::fel::calendar::buckets_for_lookahead;
+        let us = SimTime::from_micros;
+        // 2 × 12 µs = 47 buckets of 512 ns → the 64-bucket floor.
+        assert_eq!(buckets_for_lookahead(SimTime::ZERO), 64);
+        assert_eq!(buckets_for_lookahead(us(12)), 64);
+        // 2 × 40 µs = 157 buckets → 256.
+        assert_eq!(buckets_for_lookahead(us(40)), 256);
+        // 2 × 250 µs = 977 buckets → 1024 (a 524 µs wheel).
+        assert_eq!(buckets_for_lookahead(us(250)), 1024);
+        // A look-ahead of exactly 64 × 512 ns / 2 stays at 64; one ns more
+        // doubles it.
+        assert_eq!(buckets_for_lookahead(SimTime::from_nanos(16_384)), 64);
+        assert_eq!(buckets_for_lookahead(SimTime::from_nanos(16_385)), 128);
+        // Never wider than the default wheel, even for absurd look-aheads.
+        assert_eq!(buckets_for_lookahead(SimTime::from_millis(5)), 4096);
+        assert_eq!(buckets_for_lookahead(SimTime::MAX), 4096);
+
+        let q: EventQueue<()> = EventQueue::for_lookahead(0, us(250));
+        assert_eq!(q.wheel_buckets(), 1024);
+        assert_eq!(q.bucket_width(), SimTime::from_nanos(512));
+        assert_eq!(EventQueue::<()>::with_capacity(0).wheel_buckets(), 4096);
+    }
+
+    #[test]
+    fn overflow_pushes_count_only_beyond_the_window() {
+        // 64 × 512 ns ≈ 32.8 µs window from t = 0.
+        let mut q = EventQueue::for_lookahead(0, SimTime::from_micros(12));
+        q.push(SimTime::from_micros(10), 0);
+        q.push(SimTime::from_micros(32), 1);
+        assert_eq!(q.overflow_pushes(), 0);
+        q.push(SimTime::from_micros(40), 2);
+        q.push(SimTime::from_millis(10), 3);
+        assert_eq!(q.overflow_pushes(), 2);
+        // Popping promotes the 40 µs entry into the wheel; promotions are
+        // not pushes.
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![0, 1, 2, 3]);
+        assert_eq!(q.overflow_pushes(), 2);
+    }
+
+    #[test]
     fn wheel_wraps_across_many_rotations() {
         // March the clock through hundreds of wheel rotations of the tiny
         // geometry, alternating short and bucket-crossing gaps.
@@ -613,6 +684,7 @@ mod tests {
                 ("calendar", EventQueue::new()),
                 ("calendar-tiny", EventQueue::with_calendar_geometry(4, 64)),
                 ("calendar-wide", EventQueue::with_calendar_geometry(14, 64)),
+                ("calendar-fabric", EventQueue::for_lookahead(8, SimTime::from_micros(12))),
             ] {
                 let log = run_script(&mut q, &ops);
                 prop_assert_eq!(&log, &ref_log, "{} diverged from heap", name);

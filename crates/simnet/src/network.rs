@@ -52,8 +52,7 @@ use crate::report::{AllocAudit, ClassCounters, RunReport};
 use tlb_engine::{alloc_audit, EventQueue, SimRng, SimTime};
 use tlb_metrics::{FctRecorder, FlowClass, SampleSet, TimeSeries};
 use tlb_net::{
-    Fabric, FluidNet, HostId, LinkProps, Packet, PacketArena, PacketSlot, PktKind, RateChange,
-    MAX_FLUID_PATH,
+    Fabric, FluidNet, HostId, LinkProps, Packet, PacketArena, PacketSlot, PktKind, MAX_FLUID_PATH,
 };
 use tlb_switch::{Enqueued, LoadBalancer, OutPort, PortView};
 use tlb_transport::{OooPool, SenderOutput, TcpReceiver, TcpSender};
@@ -548,8 +547,6 @@ struct Net<'a> {
     fluid_migrations: u64,
     fluid_demotions: u64,
     fluid_bytes: u64,
-    /// Scratch for draining [`FluidNet::take_changes`].
-    rate_changes: Vec<RateChange>,
     /// Scratch for collecting failure-demoted fluid flows.
     demote_scratch: Vec<u32>,
     /// Sharded-engine context: `Some` iff this `Net` is one shard's
@@ -685,37 +682,50 @@ impl<'a> Net<'a> {
         // the worst state it ever reaches. The sum sizes the FEL and the
         // packet arena, keeping their growth out of the steady-state
         // allocation gate.
+        //
+        // The same replay yields the hop look-ahead: a hop schedules its
+        // `TxDone` one serialization time ahead (at most a full MSS
+        // segment's) and its `Arrive` one propagation delay ahead, so no
+        // packet-path event ever lands further out than the largest of
+        // those over every state of every link. It sizes the FEL's
+        // calendar wheel.
         let min_wire = cfg.tcp.header_bytes.max(1) as u64;
+        let max_wire = min_wire + cfg.tcp.mss as u64;
         let in_flight_bound = |l: &LinkProps| -> usize {
             let tx = tlb_engine::time::tx_time(min_wire, l.bytes_per_sec)
                 .as_nanos()
                 .max(1);
             (l.prop_delay.as_nanos() / tx + 2).min(4096) as usize
         };
-        let in_flight: usize = (0..ports.len() as u32)
-            .map(|p| {
-                let mut link = ports[p as usize].link();
-                let mut worst = in_flight_bound(&link);
-                let mut evs: Vec<&crate::config::LinkEvent> = cfg
-                    .link_events
-                    .iter()
-                    .filter(|ev| {
-                        let up = pmap.sw_up(ev.leaf.index() as u32, ev.spine.index() as u32);
-                        up == p || pmap.rev[up as usize] == p
-                    })
-                    .collect();
-                // Stable by-time sort: same-time events keep config order,
-                // exactly how the FEL applies them.
-                evs.sort_by_key(|ev| ev.at);
-                for ev in evs {
-                    link.bytes_per_sec =
-                        ((link.bytes_per_sec as f64) * ev.bw_factor).max(1.0) as u64;
-                    link.prop_delay = ev.new_prop_delay.unwrap_or(link.prop_delay) + ev.extra_delay;
-                    worst = worst.max(in_flight_bound(&link));
-                }
-                worst
-            })
-            .sum();
+        let hop = |l: &LinkProps| -> SimTime {
+            l.prop_delay
+                .max(tlb_engine::time::tx_time(max_wire, l.bytes_per_sec))
+        };
+        let mut in_flight = 0usize;
+        let mut lookahead = SimTime::ZERO;
+        for p in 0..ports.len() as u32 {
+            let mut link = ports[p as usize].link();
+            let mut worst = in_flight_bound(&link);
+            lookahead = lookahead.max(hop(&link));
+            let mut evs: Vec<&crate::config::LinkEvent> = cfg
+                .link_events
+                .iter()
+                .filter(|ev| {
+                    let up = pmap.sw_up(ev.leaf.index() as u32, ev.spine.index() as u32);
+                    up == p || pmap.rev[up as usize] == p
+                })
+                .collect();
+            // Stable by-time sort: same-time events keep config order,
+            // exactly how the FEL applies them.
+            evs.sort_by_key(|ev| ev.at);
+            for ev in evs {
+                link.bytes_per_sec = ((link.bytes_per_sec as f64) * ev.bw_factor).max(1.0) as u64;
+                link.prop_delay = ev.new_prop_delay.unwrap_or(link.prop_delay) + ev.extra_delay;
+                worst = worst.max(in_flight_bound(&link));
+                lookahead = lookahead.max(hop(&link));
+            }
+            in_flight += worst;
+        }
 
         let lb_sws = (0..pmap.n_lb as usize)
             .map(|l| LbSw {
@@ -729,10 +739,11 @@ impl<'a> Net<'a> {
         // port, one `Arrive` per packet in flight, plus pending flow
         // starts and timers. (The capacity reserves the calendar's
         // overflow tier, which is exactly where the build-time bulk of
-        // not-yet-started flows lands.)
+        // not-yet-started flows lands.) The wheel spans twice the hop
+        // look-ahead and no more.
         let n_ports = pmap.n_ports();
         let fel_cap = 2 * n + 2 * n_ports + in_flight + 64;
-        let mut q = EventQueue::with_capacity(fel_cap);
+        let mut q = EventQueue::for_lookahead(fel_cap, lookahead);
         // Only chain heads get their own start event; chained flows are
         // launched by their predecessor's completion.
         let mut is_chained = vec![false; n];
@@ -767,9 +778,39 @@ impl<'a> Net<'a> {
                 .map(|(&t, _)| t as usize)
                 .sum()
         };
+        // The uplink queue samples (`short_qlen`, `long_qlen`,
+        // `short_qdelay`) are taken at every balancer-chosen uplink a data
+        // segment climbs: one on a leaf-spine route, two on an inter-pod
+        // fat-tree route, none within a leaf or edge.
+        let lb_hops = |f: &FlowSpec| -> usize {
+            let (src, dst) = (f.src.0, f.dst.0);
+            match pmap.plan {
+                PlanKind::LeafSpine { hpl, .. } => usize::from(src / hpl != dst / hpl),
+                PlanKind::FatTree { half, .. } => {
+                    let (se, de) = (src / half, dst / half);
+                    if se == de {
+                        0
+                    } else if se / half == de / half {
+                        1
+                    } else {
+                        2
+                    }
+                }
+            }
+        };
+        let uplink_samples = |short: bool| -> usize {
+            flows
+                .iter()
+                .zip(&total_segs)
+                .zip(&is_short)
+                .filter(|&(_, &s)| s == short)
+                .map(|((f, &t), _)| t as usize * lb_hops(f))
+                .sum()
+        };
         let sample_cap = |first_tx: usize| (first_tx + first_tx / 4 + 64).min(1 << 22);
         let short_segs = segs(true);
         let long_segs = segs(false);
+        let (short_samples, long_samples) = (uplink_samples(true), uplink_samples(false));
         // FEL-depth samples: one per 4096 events; a data segment costs
         // O(2 hops·(TxDone+Arrive)) events each way, so 24·segs/4096 is a
         // generous event-count estimate.
@@ -845,9 +886,9 @@ impl<'a> Net<'a> {
             timers_live: 0,
             misc_pending: 0,
             fel_bound_peak: 0,
-            short_qlen: SampleSet::with_capacity(sample_cap(short_segs)),
-            long_qlen: SampleSet::with_capacity(sample_cap(long_segs)),
-            short_qdelay: SampleSet::with_capacity(sample_cap(short_segs)),
+            short_qlen: SampleSet::with_capacity(sample_cap(short_samples)),
+            long_qlen: SampleSet::with_capacity(sample_cap(long_samples)),
+            short_qdelay: SampleSet::with_capacity(sample_cap(short_samples)),
             fel_depth: SampleSet::with_capacity(depth_cap),
             qth_series: Vec::new(),
             traced: {
@@ -886,7 +927,6 @@ impl<'a> Net<'a> {
             fluid_migrations: 0,
             fluid_demotions: 0,
             fluid_bytes: 0,
-            rate_changes: Vec::new(),
             demote_scratch: Vec::new(),
             cur_key: 0,
             trace_keys: if shard.is_some() {
@@ -917,7 +957,6 @@ impl<'a> Net<'a> {
             net.fluid = Some(fluid);
             net.fluid_tail_bytes = vec![0; n];
             net.fluid_credit = vec![0; n];
-            net.rate_changes = Vec::with_capacity(64);
             net.demote_scratch = Vec::with_capacity(64);
         }
         for l in 0..net.lb_sws.len() {
@@ -1657,6 +1696,7 @@ impl<'a> Net<'a> {
                 if after >= self.total_segs[fi] && !self.fluid_pend[fi] && !self.completed[fi] {
                     self.complete(fi, now);
                 }
+                self.park_ooo_buf(fi);
                 self.audit.emitted(&ack);
                 self.enqueue(self.pmap.host_nic(h), ack, now);
             }
@@ -1682,6 +1722,22 @@ impl<'a> Net<'a> {
                 if let Some(r) = self.receivers[fi].as_mut() {
                     self.ooo_pool.put(r.take_ooo_buf());
                 }
+            }
+        }
+    }
+
+    /// Under hybrid fidelity, return the receiver's out-of-order buffer
+    /// to the pool once its whole packet prefix is delivered and the tail
+    /// rides the fluid tier: nothing more arrives until the FIN (or a
+    /// demotion, which re-arms it), and long fluid tails would otherwise
+    /// pin one buffer each while new flows keep drawing fresh ones.
+    fn park_ooo_buf(&mut self, fi: usize) {
+        if !self.fluid_pend[fi] {
+            return;
+        }
+        if let Some(r) = self.receivers[fi].as_mut() {
+            if r.delivered_segs() >= self.total_segs[fi] {
+                self.ooo_pool.put(r.take_ooo_buf());
             }
         }
     }
@@ -1767,6 +1823,7 @@ impl<'a> Net<'a> {
             .expect("hybrid path without FluidNet")
             .join(fi as u32, &path[..len], tail as f64, now.as_secs_f64());
         self.flush_fluid_changes(now);
+        self.park_ooo_buf(fi);
     }
 
     /// The directed links flow `fi`'s fluid tail would occupy, chosen via
@@ -1866,11 +1923,10 @@ impl<'a> Net<'a> {
     /// integer event time at-or-after the real completion instant, so the
     /// pop-side residual is ≤ one rate·nanosecond of bytes.
     fn flush_fluid_changes(&mut self, now: SimTime) {
-        let mut changes = std::mem::take(&mut self.rate_changes);
-        if let Some(fluid) = self.fluid.as_mut() {
-            fluid.take_changes(&mut changes);
-        }
-        for ch in changes.drain(..) {
+        let Some(fluid) = self.fluid.as_mut() else {
+            return;
+        };
+        for ch in fluid.drain_changes() {
             let at = SimTime::from_nanos((ch.done_at_s * 1e9).ceil() as u64).max(now);
             push_ev(
                 &mut self.q,
@@ -1882,7 +1938,6 @@ impl<'a> Net<'a> {
             );
             self.fluid_events_pending += 1;
         }
-        self.rate_changes = changes;
     }
 
     /// A fluid tail's projected completion time arrived. Stale unless the
@@ -1961,6 +2016,9 @@ impl<'a> Net<'a> {
                 .expect("demoted flow without a sender")
                 .fluid_demote(rem_bytes, now, &mut out);
             self.total_segs[fi] += add;
+            if let Some(r) = self.receivers[fi].as_mut() {
+                r.rearm_ooo_buf(&mut self.ooo_pool, self.cfg.tcp.rwnd_segs() as usize);
+            }
             self.process_outputs(f, &mut out, now);
             self.out_buf = out;
         }
@@ -2031,8 +2089,7 @@ impl<'a> Net<'a> {
         self.traces.append(&mut other.traces);
         self.trace_keys.append(&mut other.trace_keys);
         self.audit.absorb(&other.audit);
-        self.q
-            .absorb_monotonicity_violations(other.q.monotonicity_violations());
+        self.q.absorb_counters(&other.q);
         // Residual in-flight packets (end-of-run leftovers in the other
         // shard's FEL) feed the merged ledger; queued/in-service residuals
         // ride the moved ports, scanned later by `finish_audit`.
@@ -2154,6 +2211,9 @@ impl<'a> Net<'a> {
             short_qdelay: self.short_qdelay,
             fel_depth: self.fel_depth,
             fel_bound_peak: self.fel_bound_peak,
+            fel_buckets: self.q.wheel_buckets(),
+            fel_bucket_ns: self.q.bucket_width().as_nanos(),
+            fel_overflow_pushes: self.q.overflow_pushes(),
             short_reorder_series: self.short_reorder.means(),
             long_reorder_series: self.long_reorder.means(),
             long_goodput_series: self.long_goodput.rates(),

@@ -185,6 +185,12 @@ pub struct Summary {
     pub sharded_tail_events: u64,
     /// Why a sharded request ran serially ([`ShardFallback::name`]).
     pub engine_fallback: Option<String>,
+    /// Physical buckets of the FEL's calendar wheel.
+    pub fel_buckets: usize,
+    /// Width of one calendar-wheel bucket (nanoseconds).
+    pub fel_bucket_ns: u64,
+    /// Pushes that landed in the FEL's overflow tier.
+    pub fel_overflow_pushes: u64,
 }
 
 /// Everything measured in one run. Time series carry
@@ -228,6 +234,15 @@ pub struct RunReport {
     /// `fel_depth` sample is asserted ≤ the bound at the moment it is
     /// taken.
     pub fel_bound_peak: u64,
+    /// Physical buckets of the FEL's calendar wheel, sized at build from
+    /// the fabric's per-hop look-ahead (see `tlb_engine::fel::calendar`).
+    pub fel_buckets: usize,
+    /// Width of one calendar-wheel bucket, in nanoseconds.
+    pub fel_bucket_ns: u64,
+    /// Pushes that landed beyond the wheel window, in the FEL's overflow
+    /// tier (timers, flow starts, balancer ticks, fluid completions),
+    /// summed over shard replicas.
+    pub fel_overflow_pushes: u64,
     /// Instantaneous reorder ratio of short flows over time — Fig. 8(a).
     pub short_reorder_series: Vec<(f64, f64)>,
     /// Instantaneous reorder ratio of long flows — Fig. 9(a).
@@ -401,6 +416,9 @@ impl RunReport {
             sharded_windows: self.sharded_windows,
             sharded_tail_events: self.sharded_tail_events,
             engine_fallback: self.engine_fallback.map(|f| f.name().to_string()),
+            fel_buckets: self.fel_buckets,
+            fel_bucket_ns: self.fel_bucket_ns,
+            fel_overflow_pushes: self.fel_overflow_pushes,
         }
     }
 }

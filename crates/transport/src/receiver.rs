@@ -80,10 +80,12 @@ impl TcpReceiver {
     }
 
     /// Reclaim the out-of-order buffer for pooling, leaving an empty
-    /// unallocated Vec behind. Called at flow teardown (FIN delivery), by
-    /// which point the buffer is necessarily empty: the cumulative point
-    /// has passed every segment the sender ever emitted. Idempotent — a
-    /// second call returns a capacity-0 Vec, which pools ignore.
+    /// unallocated Vec behind. Called at flow teardown (FIN delivery), or
+    /// once every segment of a hybrid flow's packet prefix is delivered
+    /// while its tail runs on the fluid tier; either way the buffer is
+    /// necessarily empty: the cumulative point has passed every segment
+    /// the sender emitted. Idempotent — a second call returns a
+    /// capacity-0 Vec, which pools ignore.
     pub fn take_ooo_buf(&mut self) -> Vec<u32> {
         debug_assert!(
             self.ooo.is_empty(),
@@ -91,6 +93,16 @@ impl TcpReceiver {
             self.rcv_nxt
         );
         std::mem::take(&mut self.ooo)
+    }
+
+    /// Give a receiver whose buffer was reclaimed by
+    /// [`TcpReceiver::take_ooo_buf`] a buffer from `pool` again, before
+    /// more data can arrive (a hybrid flow demoted back to the packet
+    /// path). A no-op while the receiver still holds one.
+    pub fn rearm_ooo_buf(&mut self, pool: &mut crate::OooPool, min_capacity: usize) {
+        if self.ooo.capacity() == 0 {
+            self.ooo = pool.get(min_capacity);
+        }
     }
 
     /// Highest in-order segment delivered so far (`rcv_nxt`).
@@ -333,6 +345,15 @@ mod tests {
         assert_eq!(buf.capacity(), cap);
         // A second take is idempotent: capacity-0, which pools ignore.
         assert_eq!(r.take_ooo_buf().capacity(), 0);
+        // Re-arming draws a buffer from the pool once, then holds it.
+        let mut pool = crate::OooPool::new();
+        pool.put(buf);
+        r.rearm_ooo_buf(&mut pool, 44);
+        assert_eq!(pool.parked(), 0);
+        r.rearm_ooo_buf(&mut pool, 44);
+        assert_eq!(pool.stats(), (1, 0), "the second re-arm must not draw");
+        r.on_data(&seg(6, false), SimTime::ZERO);
+        assert_eq!(r.buffered(), 1);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Allocation hygiene: after warmup, the simulator's per-packet steady
 //! state performs ZERO heap acquisitions — no allocations, no Vec
 //! regrowth — on a fig10-shaped production job, on a 10 Gb/s fabric whose
-//! links change mid-window, and on the fuzzer's 16-job batch.
+//! links change mid-window, on a hybrid-fidelity fat tree, and on the
+//! fuzzer's 16-job batch.
 //!
 //! This binary installs [`tlb::engine::CountingAlloc`] as the global
 //! allocator; the simulator snapshots the process-wide counters at the
@@ -133,6 +134,45 @@ fn steady_state_is_allocation_free() {
         let r = audited(cfg, flows, e / 2);
         assert_eq!(r.events, e, "the audit window changed the event count");
         assert_zero_alloc(&r, "10G mid-audit flap");
+    }
+
+    // --- hybrid fidelity on a k=8 fat tree -------------------------------
+    // Long-flow tails join and leave the fluid tier throughout the window:
+    // fluid link membership, rate-change draining, `FluidDone` scheduling,
+    // receiver buffers parked while a tail is fluid, and the two
+    // balancer-chosen uplinks an inter-pod segment samples must all stay
+    // off the allocator. ECMP keeps no per-flow switch state; TLB's
+    // per-switch flow tables are demand-sized hash maps whose high-water
+    // growth on a fat tree's many small tables is a separate open item
+    // (CHANGES.md).
+    {
+        let dist = web_search();
+        let mut cfg = SimConfig::basic_paper(Scheme::Ecmp);
+        cfg.topo = FatTreeBuilder::new(8)
+            .link_gbps(1.0)
+            .target_rtt(SimTime::from_micros(100))
+            .build()
+            .into();
+        cfg.fidelity = FidelityKind::Hybrid;
+        let wl = PoissonWorkload {
+            load: 0.6,
+            dist: &dist,
+            duration: SimTime::from_millis(6),
+            deadline_lo: SimTime::from_millis(5),
+            deadline_hi: SimTime::from_millis(25),
+            short_threshold: 100_000,
+            inter_leaf_only: true,
+        };
+        let flows = wl.generate(&cfg.topo, &mut SimRng::new(42));
+        let e = learn_events(cfg.clone(), flows.clone());
+        assert!(e > 50_000, "hybrid job too small for a steady state: {e}");
+        let r = audited(cfg, flows, e / 2);
+        assert_eq!(r.events, e, "the audit window changed the event count");
+        assert!(
+            r.fluid_migrations > 0,
+            "no tail ever reached the fluid tier"
+        );
+        assert_zero_alloc(&r, "hybrid fat tree");
     }
 
     // --- the fuzzer's 16-job batch, run serially -------------------------

@@ -1,7 +1,8 @@
 //! The `tlb-sim` command line: malformed values, unknown options and
 //! invalid fabrics are rejected with exit code 2 and a one-line message
 //! before any simulation runs; a valid command line runs to completion,
-//! and its `--json` summary names the engine that ran and any fallback.
+//! and its `--json` summary names the engine that ran, any fallback, and
+//! the FEL geometry the run used.
 
 use std::process::{Command, Output};
 
@@ -61,8 +62,20 @@ fn json_reports_which_engine_ran_and_why() {
     assert!(sharded.sharded_windows > 0);
     assert!(sharded.sharded_tail_events < sharded.events);
     assert_eq!(sharded.engine_fallback, None);
+    assert_eq!(sharded.fel_bucket_ns, 512);
+    assert!((64..=4096).contains(&sharded.fel_buckets));
+    assert!(sharded.fel_buckets.is_power_of_two());
+    assert!(
+        sharded.fel_overflow_pushes > 0,
+        "flow starts ride the overflow tier"
+    );
     let hybrid = run("hybrid");
     assert_eq!(hybrid.engine_workers, None);
     assert_eq!(hybrid.engine_fallback.as_deref(), Some("hybrid"));
     assert_eq!((hybrid.sharded_windows, hybrid.sharded_tail_events), (0, 0));
+    assert_eq!(
+        (hybrid.fel_buckets, hybrid.fel_bucket_ns),
+        (sharded.fel_buckets, sharded.fel_bucket_ns),
+        "same fabric, same wheel"
+    );
 }
